@@ -31,8 +31,6 @@ __all__ = [
     "run_sweep",
 ]
 
-SWEEP_KINDS = ("gain1", "gain2", "bounds1", "instants_vs_T", "descent_stats", "windows")
-
 # prior-variance panels of the two-measure gain map
 GAIN2_DEFAULT_PANELS = (0.0, 2.0, 5.0)
 
@@ -303,6 +301,7 @@ _DISPATCH = {
     "descent_stats": descent_statistics,
     "windows": windows_experiment,
 }
+SWEEP_KINDS = tuple(_DISPATCH)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

@@ -27,6 +27,24 @@ __all__ = [
 ]
 
 
+def _check_domain(**kwargs: float) -> None:
+    for name, value in kwargs.items():
+        if math.isnan(value) or value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _check_positive(**kwargs: float) -> None:
+    for name, value in kwargs.items():
+        if not (value > 0) or math.isinf(value):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_finite(**kwargs: float) -> None:
+    for name, value in kwargs.items():
+        if math.isnan(value) or math.isinf(value) or value < 0:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Process model: diffusion rate, horizon length and prior variance."""
@@ -36,14 +54,8 @@ class ModelParams:
     prior_variance: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0) or math.isinf(self.sigma2):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if not (self.horizon > 0) or math.isinf(self.horizon):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (self.prior_variance >= 0) or math.isinf(self.prior_variance):
-            raise ValueError(
-                f"prior_variance must be finite and >= 0, got {self.prior_variance}"
-            )
+        _check_positive(sigma2=self.sigma2, horizon=self.horizon)
+        _check_finite(prior_variance=self.prior_variance)
 
 
 @dataclass(frozen=True)

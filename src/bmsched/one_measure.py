@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .kalman import parallel_sum
+from .kalman import _check_domain, _check_positive, parallel_sum
 
 __all__ = [
     "Regime",
@@ -68,16 +68,13 @@ class WindowIteration:
     settled_at: int | None
 
 
-def _check_domain(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if math.isnan(value) or value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-def _check_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not (value > 0) or math.isinf(value):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+def _noise_ratio(v1: float, g: float) -> float:
+    """v1 / (v1 + g) with its 0/0 and inf limits."""
+    if v1 == 0.0:
+        return 0.0
+    if math.isinf(v1):
+        return 1.0
+    return v1 / (v1 + g)
 
 
 def cost_single(sigma2: float, T: float, v0: float, v1: float, t1: float) -> float:
@@ -105,12 +102,7 @@ def cost_derivative(sigma2: float, T: float, v0: float, v1: float, t1: float) ->
     _check_positive(sigma2=sigma2, T=T)
     _check_domain(v0=v0, v1=v1, t1=t1)
     g = v0 + sigma2 * t1
-    if v1 == 0.0:
-        ratio = 0.0
-    elif math.isinf(v1):
-        ratio = 1.0
-    else:
-        ratio = v1 / (g + v1)
+    ratio = _noise_ratio(v1, g)
     first = 1.0 - ratio  # == g / (g + v1), stable when v1 is 0 or inf
     second = g - sigma2 * (T - t1) * (ratio + 1.0)
     return first * second

@@ -4,10 +4,11 @@ Three regimes exist depending on the horizon length T.  For short horizons
 both measurements happen at 0; past a first critical duration only the second
 one leaves 0; past a second critical duration both are interior.  The
 regime-2/3 boundary is governed by a cubic in sigma2*t2 whose coefficient sign
-pattern (one sign change) guarantees a unique positive root.  In regime 3 the
-optimum solves a two-equation stationarity system; it is found both by
-coordinate descent (the reference algorithm) and by bisection on the
-stationarity gap (an independent cross-check).
+pattern (one sign change) guarantees a unique positive root.  The optimizer
+compares T with the two critical durations once and takes the path of the
+regime that comparison gives.  In regime 3 the optimum solves a two-equation
+stationarity system; it is found by coordinate descent (the reference
+algorithm) and always cross-checked by bisection on the stationarity gap.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .kalman import parallel_sum
+from .kalman import _check_domain, _check_finite, _check_positive, parallel_sum
 from .numerics import bisect_root, golden_section_min
-from .one_measure import cost_single, critical_duration_1, duration_from_instant
+from .one_measure import _noise_ratio, critical_duration_1, duration_from_instant
 from .one_measure import optimal_instant_1
 
 __all__ = [
@@ -62,13 +63,18 @@ class CubicCoeffs:
         return ((self.a * x + self.b) * x + self.c) * x + self.d
 
 
+# bracket width of the golden-section t1 line search
+_GOLDEN_TOL = 1e-10
+# bracket width of the stationarity bisection
+_STATIONARITY_TOL = 1e-12
+# largest allowed distance between the descent and the stationarity solution
+_CROSS_CHECK_TOL = 1e-5
+
+
 @dataclass(frozen=True)
 class DescentOptions:
     step_tol: float = 1e-9
     max_iterations: int = 200
-    golden_tol: float = 1e-10
-    cross_check: bool = True
-    cross_check_tol: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -95,24 +101,6 @@ class TwoMeasureSolution:
     T2_crit: float
     T1_crit: float
     trace: DescentTrace | None = field(default=None)
-
-
-def _check_domain(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if math.isnan(value) or value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-def _check_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not (value > 0) or math.isinf(value):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_finite(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if math.isnan(value) or math.isinf(value) or value < 0:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def cost_pair(
@@ -150,22 +138,8 @@ def cost_derivative_t1(
     _check_domain(v0=v0, v1=v1, v2=v2)
     if not (0.0 <= t1 <= t2 <= T):
         raise ValueError(f"need 0 <= t1 <= t2 <= T, got t1={t1}, t2={t2}, T={T}")
-    g = v0 + sigma2 * t1
-    ratio = _noise_ratio(v1, g)
-    first = 1.0 - ratio  # == g / (g + v1)
-    post1 = parallel_sum(v1, g)
-    denom = v2 + sigma2 * (t2 - t1) + post1
-    inner = (t2 - t1) if denom == 0.0 else v2 * v2 * (T - t2) / (denom * denom) + (t2 - t1)
-    return first * (g - (1.0 + ratio) * sigma2 * inner)
-
-
-def _noise_ratio(v1: float, g: float) -> float:
-    """v1 / (v1 + g) with its 0/0 and inf limits."""
-    if v1 == 0.0:
-        return 0.0
-    if math.isinf(v1):
-        return 1.0
-    return v1 / (v1 + g)
+    first = 1.0 - _noise_ratio(v1, v0 + sigma2 * t1)  # == g / (g + v1)
+    return first * _t1_slope_factor(sigma2, T, v0, v1, v2, t1, t2)
 
 
 def _t1_slope_factor(
@@ -183,13 +157,7 @@ def _t1_slope_factor(
 
 
 def _line_search_t1(
-    sigma2: float,
-    T: float,
-    v0: float,
-    v1: float,
-    v2: float,
-    t2: float,
-    golden_tol: float,
+    sigma2: float, T: float, v0: float, v1: float, v2: float, t2: float
 ) -> float:
     """Minimize t1 -> cost over [0, t2]: golden-section search, then a
     derivative-sign polish.
@@ -201,7 +169,7 @@ def _line_search_t1(
     deterministically.
     """
     x = golden_section_min(
-        lambda u: cost_pair(sigma2, T, v0, v1, v2, u, t2), 0.0, t2, golden_tol
+        lambda u: cost_pair(sigma2, T, v0, v1, v2, u, t2), 0.0, t2, _GOLDEN_TOL
     )
     width = 1e-6 * max(1.0, t2)
     lo, hi = max(0.0, x - width), min(t2, x + width)
@@ -269,17 +237,27 @@ def critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) ->
     return duration_from_instant(sigma2, spacing, parallel_sum(v0, v1), v2)
 
 
+def _regime(T: float, t2_crit: float, t1_crit: float) -> TwoMeasureRegime:
+    """Regime of horizon T given both critical durations; a horizon exactly
+    equal to a critical duration belongs to the lower regime."""
+    if T <= t2_crit:
+        return TwoMeasureRegime.REGIME1
+    if T <= t1_crit:
+        return TwoMeasureRegime.REGIME2
+    return TwoMeasureRegime.REGIME3
+
+
 def classify_regime(
     sigma2: float, T: float, v0: float, v1: float, v2: float
 ) -> TwoMeasureRegime:
     """Regime of the optimal schedule; a horizon exactly equal to a critical
     duration belongs to the lower regime."""
     _check_positive(sigma2=sigma2, T=T)
-    if T <= critical_duration_2_second(sigma2, v0, v1, v2):
-        return TwoMeasureRegime.REGIME1
-    if T <= critical_duration_2_first(sigma2, v0, v1, v2):
-        return TwoMeasureRegime.REGIME2
-    return TwoMeasureRegime.REGIME3
+    return _regime(
+        T,
+        critical_duration_2_second(sigma2, v0, v1, v2),
+        critical_duration_2_first(sigma2, v0, v1, v2),
+    )
 
 
 def optimal_gap(
@@ -307,7 +285,7 @@ def equilibrium_gap(
 
 
 def _stationarity_root(
-    sigma2: float, T: float, v0: float, v1: float, v2: float, tol: float
+    sigma2: float, T: float, v0: float, v1: float, v2: float
 ) -> tuple[float, float]:
     def gap_mismatch(t1: float) -> float:
         return optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
@@ -317,12 +295,12 @@ def _stationarity_root(
     # Exactly on the regime-2/3 boundary (up to rounding) the root is t1 = 0.
     if gap_mismatch(0.0) <= 0.0:
         return 0.0, equilibrium_gap(sigma2, v0, v1, v2, 0.0)
-    t1 = bisect_root(gap_mismatch, 0.0, T, tol=tol)
+    t1 = bisect_root(gap_mismatch, 0.0, T, tol=_STATIONARITY_TOL)
     return t1, t1 + equilibrium_gap(sigma2, v0, v1, v2, t1)
 
 
 def solve_stationarity(
-    sigma2: float, T: float, v0: float, v1: float, v2: float, tol: float = 1e-12
+    sigma2: float, T: float, v0: float, v1: float, v2: float
 ) -> tuple[float, float]:
     """Regime-3 optimum from the stationarity system.
 
@@ -336,7 +314,7 @@ def solve_stationarity(
             "solve_stationarity requires regime 3 "
             f"(T={T} does not exceed the first critical duration)"
         )
-    return _stationarity_root(sigma2, T, v0, v1, v2, tol)
+    return _stationarity_root(sigma2, T, v0, v1, v2)
 
 
 def optimize_two(
@@ -350,23 +328,24 @@ def optimize_two(
 ) -> TwoMeasureSolution:
     """Optimal schedule of two measurements on [0, T].
 
-    Regime 1 returns (0, 0) and regime 2 returns (0, t2) with t2 the
-    one-measure optimum for the merged prior; both are closed-form.  Regime 3
-    runs coordinate descent from that point: the t2 update is the one-measure
-    reduction, the t1 update is a golden-section line search, and iteration
-    stops when both coordinate steps drop below ``options.step_tol``.  The
-    result is cross-checked against :func:`solve_stationarity` unless
-    disabled.
+    The regime comes from comparing T with the two critical durations T2_crit
+    and T1_crit (see :func:`classify_regime`), and the solve takes that
+    regime's path.  Regime 1 returns (0, 0) and regime 2 returns (0, t2) with
+    t2 the one-measure optimum for the merged prior; both are closed-form.
+    Regime 3 runs coordinate descent from that point: the t2 update is the
+    one-measure reduction, the t1 update is a golden-section line search, and
+    iteration stops when both coordinate steps drop below
+    ``options.step_tol``.  The result is always cross-checked against the
+    stationarity bisection of :func:`solve_stationarity`.
     """
     opts = options or DescentOptions()
     _check_positive(sigma2=sigma2, T=T)
     _check_finite(v0=v0, v1=v1, v2=v2)
     t2_crit = critical_duration_2_second(sigma2, v0, v1, v2)
     t1_crit = critical_duration_2_first(sigma2, v0, v1, v2)
-    regime = classify_regime(sigma2, T, v0, v1, v2)
-    merged = parallel_sum(v0, v1)
+    regime = _regime(T, t2_crit, t1_crit)
 
-    if T <= t2_crit:
+    if regime is TwoMeasureRegime.REGIME1:
         return TwoMeasureSolution(
             t1_opt=0.0,
             t2_opt=0.0,
@@ -376,10 +355,8 @@ def optimize_two(
             T1_crit=t1_crit,
         )
 
-    t2_first = optimal_instant_1(sigma2, T, merged, v2).t_opt
-    # An exact prior degenerates the boundary cubic to 0 and forces regime 3
-    # for every positive horizon, so the sign test only applies when v0 > 0.
-    if v0 > 0.0 and cubic_coeffs(v0, v1, v2).evaluate(sigma2 * t2_first) >= 0.0:
+    t2_first = optimal_instant_1(sigma2, T, parallel_sum(v0, v1), v2).t_opt
+    if regime is TwoMeasureRegime.REGIME2:
         return TwoMeasureSolution(
             t1_opt=0.0,
             t2_opt=t2_first,
@@ -393,12 +370,12 @@ def optimize_two(
         return cost_pair(sigma2, T, v0, v1, v2, u, t2)
 
     t2 = t2_first
-    t1 = _line_search_t1(sigma2, T, v0, v1, v2, t2, opts.golden_tol)
+    t1 = _line_search_t1(sigma2, T, v0, v1, v2, t2)
     steps = [(t1, t2, line_cost(t1, t2), math.nan, math.nan)]
     converged = False
     for _ in range(opts.max_iterations):
         t2_new = t1 + optimal_gap(sigma2, T, v0, v1, v2, t1)
-        t1_new = _line_search_t1(sigma2, T, v0, v1, v2, t2_new, opts.golden_tol)
+        t1_new = _line_search_t1(sigma2, T, v0, v1, v2, t2_new)
         d1, d2 = abs(t1_new - t1), abs(t2_new - t2)
         t1, t2 = t1_new, t2_new
         steps.append((t1, t2, line_cost(t1, t2), d1, d2))
@@ -411,13 +388,12 @@ def optimize_two(
             f"iterations (last steps {steps[-1][3]:.3e}, {steps[-1][4]:.3e})"
         )
 
-    if opts.cross_check:
-        b1, b2 = _stationarity_root(sigma2, T, v0, v1, v2, tol=1e-12)
-        if max(abs(b1 - t1), abs(b2 - t2)) > opts.cross_check_tol:
-            raise RuntimeError(
-                "coordinate descent and the stationarity solver disagree: "
-                f"descent ({t1}, {t2}) vs bisection ({b1}, {b2})"
-            )
+    b1, b2 = _stationarity_root(sigma2, T, v0, v1, v2)
+    if max(abs(b1 - t1), abs(b2 - t2)) > _CROSS_CHECK_TOL:
+        raise RuntimeError(
+            "coordinate descent and the stationarity solver disagree: "
+            f"descent ({t1}, {t2}) vs bisection ({b1}, {b2})"
+        )
 
     gap_residual = optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
         sigma2, v0, v1, v2, t1

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +229,43 @@ def test_sweep_bad_spec(tmp_path, capsys):
 def test_render_csv_deterministic():
     text = render_csv(("a", "b"), [(1.0, 0.5), (2.0, 1.0 / 3.0)])
     assert text == "a,b\n1.0,0.5\n2.0,0.333333333333\n"
+
+
+README_EXAMPLES = {
+    "optimize2": ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1",
+                  "--v1", "1", "--v2", "1"],
+    "optimize1": ["optimize1", "--sigma2", "1", "--T", "1", "--v0",
+                  "1.4142135623730951", "--v1", "1"],
+    "profile": ["profile", "--sigma2", "1", "--T", "1", "--v0", "0.5",
+                "--sensors", "1,1,1", "--instants", "0.128,0.369,0.611"],
+    "bounds": ["bounds", "--sigma2", "1", "--T", "1", "--v0", "1", "--v1", "1"],
+    "windows": ["windows", "--sigma2", "1", "--T", "7/6", "--v1", "1", "--v0",
+                "0.5", "--max-windows", "60"],
+    "oracle_two": ["oracle-check", "--kind", "two", "--step", "0.002",
+                   "--trials", "20", "--seed", "7"],
+}
+README_SWEEP_SPEC = {
+    "kind": "gain1",
+    "fixed": {"sigma2": 1.0, "T": 1.0},
+    "swept": {"v0": [0.0, 5.0, 101], "v1": [0.0, 5.0, 101]},
+    "seed": 0,
+}
+README_SWEEP_CSV_SHA256 = "02394d69b4a4111025f18ebb1edaa350b5aa83da209ef9642268d625ed85889a"
+
+
+def test_readme_examples_are_byte_identical(tmp_path, capsys):
+    """The README's CLI examples print exactly the documents recorded in
+    tests/readme_examples/ (the sweep's CSV is compared by its sha256)."""
+    expected_dir = Path(__file__).parent / "readme_examples"
+    for name, argv in README_EXAMPLES.items():
+        status, out = run_cli(capsys, *argv)
+        assert status == 0, name
+        assert out == (expected_dir / f"{name}.json").read_text(), name
+
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(README_SWEEP_SPEC))
+    csv_path = tmp_path / "rows.csv"
+    status, out = run_cli(capsys, "sweep", "--spec", str(spec_path),
+                          "--format", "csv", "--output", str(csv_path))
+    assert (status, out) == (0, "")
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == README_SWEEP_CSV_SHA256

@@ -200,6 +200,33 @@ def test_optimize_boundary_rows():
     assert (small.t1_opt, small.t2_opt) == (0.0, 0.0)
 
 
+def test_regime_label_and_solve_path_agree_at_first_critical_duration():
+    # The regime label and the path the solve takes (closed form or descent)
+    # come from one comparison of T with T1_crit, including within rounding
+    # of it; a horizon equal to T1_crit belongs to regime 2.
+    sol = optimize_two(1.0, 7.0 / 6.0, 1.0, 1.0, 1.0)
+    assert sol.regime is TwoMeasureRegime.REGIME2
+    assert sol.t1_opt == 0.0
+
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        v0, v1, v2 = 10.0 ** rng.uniform(-1.0, 1.0, size=3)
+        t1_crit = critical_duration_2_first(1.0, v0, v1, v2)
+        horizons = (
+            t1_crit,
+            math.nextafter(t1_crit, 0.0),
+            math.nextafter(t1_crit, math.inf),
+            t1_crit * (1.0 - 1e-12),
+            t1_crit * (1.0 + 1e-12),
+        )
+        for T in horizons:
+            sol = optimize_two(1.0, T, v0, v1, v2, with_trace=True)
+            assert sol.regime is classify_regime(1.0, T, v0, v1, v2)
+            assert (sol.regime is TwoMeasureRegime.REGIME3) == (sol.trace is not None)
+            if sol.regime is TwoMeasureRegime.REGIME2:
+                assert sol.t1_opt == 0.0
+
+
 def test_optimize_descent_start_matches_table():
     # the first line-search iterate of the descent, per worked example
     v0, v1, v2, T = ROW_B

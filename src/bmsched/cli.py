@@ -6,7 +6,8 @@ sweeps) with numbers rendered to 12 significant digits, so identical
 invocations produce byte-identical documents.
 
 Exit codes: 0 success, 2 argument error, 3 domain error, 4 oracle discrepancy
-beyond tolerance.
+beyond tolerance, 5 solver failure (the descent did not converge, or it and the
+stationarity cross-check disagree).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_ORACLE = 4
+EXIT_SOLVER = 5
 
 
 def parse_real(text: str) -> float:
@@ -368,7 +370,7 @@ def run(argv: list[str]) -> int:
             return EXIT_USAGE
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
+        return EXIT_SOLVER if isinstance(exc, RuntimeError) else EXIT_DOMAIN
     _emit(text, args.output)
     return status
 

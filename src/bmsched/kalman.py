@@ -158,11 +158,16 @@ def parallel_sum(a: float, b: float) -> float:
         raise ValueError(f"parallel_sum operand a must be >= 0, got {a}")
     if math.isnan(b) or b < 0:
         raise ValueError(f"parallel_sum operand b must be >= 0, got {b}")
-    if math.isinf(a) and math.isinf(b):
-        raise ValueError("parallel_sum operands cannot both be inf")
+    return _parallel_sum(a, b)
+
+
+def _parallel_sum(a: float, b: float) -> float:
+    """:func:`parallel_sum` for operands already known to be >= 0 (or inf)."""
     if a == 0.0 or b == 0.0:
         return 0.0
     if math.isinf(a):
+        if math.isinf(b):
+            raise ValueError("parallel_sum operands cannot both be inf")
         return b
     if math.isinf(b):
         return a
@@ -206,7 +211,8 @@ def posterior_variance_sequence(
     prev_t = 0.0
     for t, v in zip(sched.instants, sensors.variances):
         pre = var + params.sigma2 * (t - prev_t)
-        var = parallel_sum(v, pre)
+        # SensorSet, ModelParams and Schedule make both operands >= 0
+        var = _parallel_sum(v, pre)
         out.append(var)
         prev_t = t
     return out

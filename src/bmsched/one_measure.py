@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .kalman import _check_domain, _check_positive, parallel_sum
+from .kalman import _check_domain, _check_positive, _parallel_sum, parallel_sum
 
 __all__ = [
     "Regime",
@@ -83,7 +83,12 @@ def cost_single(sigma2: float, T: float, v0: float, v1: float, t1: float) -> flo
     _check_domain(v0=v0, v1=v1, t1=t1)
     if t1 > T:
         raise ValueError(f"t1 must lie in [0, T], got t1={t1}, T={T}")
-    post = parallel_sum(v1, v0 + sigma2 * t1)
+    return _cost_single(sigma2, T, v0, v1, t1)
+
+
+def _cost_single(sigma2: float, T: float, v0: float, v1: float, t1: float) -> float:
+    """:func:`cost_single` for operands it would accept."""
+    post = _parallel_sum(v1, v0 + sigma2 * t1)
     return (
         0.5 * sigma2 * t1 * t1
         + v0 * t1
@@ -116,6 +121,10 @@ def critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
     """
     _check_positive(sigma2=sigma2)
     _check_domain(v0=v0, v1=v1)
+    return _critical_duration_1(sigma2, v0, v1)
+
+
+def _critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
     if v0 == 0.0:
         return 0.0
     ratio = 1.0 if math.isinf(v1) else v1 / (v0 + v1)
@@ -139,7 +148,21 @@ def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasu
     """
     _check_positive(sigma2=sigma2, T=T)
     _check_domain(v0=v0, v1=v1)
-    t_crit = critical_duration_1(sigma2, v0, v1)
+    t_opt, regime, t_crit = _optimal_instant(sigma2, T, v0, v1)
+    return OneMeasureSolution(
+        t_opt=t_opt,
+        regime=regime,
+        cost_at_opt=_cost_single(sigma2, T, v0, v1, t_opt),
+        critical_duration=t_crit,
+    )
+
+
+def _optimal_instant(
+    sigma2: float, T: float, v0: float, v1: float
+) -> tuple[float, Regime, float]:
+    """Optimal instant, regime and critical duration of
+    :func:`optimal_instant_1`, for operands it has validated."""
+    t_crit = _critical_duration_1(sigma2, v0, v1)
     if math.isinf(v1):
         t_opt = max(0.0, (2.0 * sigma2 * T - v0) / (3.0 * sigma2))
     else:
@@ -152,12 +175,10 @@ def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasu
         t_opt = 0.0
     else:
         regime = Regime.REGIME2
-    return OneMeasureSolution(
-        t_opt=t_opt,
-        regime=regime,
-        cost_at_opt=cost_single(sigma2, T, v0, v1, t_opt),
-        critical_duration=t_crit,
-    )
+    if t_opt > T:
+        # reached only by rounding at horizons of a few ulps, or by overflow
+        raise ValueError(f"t1 must lie in [0, T], got t1={t_opt}, T={T}")
+    return t_opt, regime, t_crit
 
 
 def duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> float:

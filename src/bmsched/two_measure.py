@@ -8,7 +8,15 @@ pattern (one sign change) guarantees a unique positive root.  The optimizer
 compares T with the two critical durations once and takes the path of the
 regime that comparison gives.  In regime 3 the optimum solves a two-equation
 stationarity system; it is found by coordinate descent (the reference
-algorithm) and always cross-checked by bisection on the stationarity gap.
+algorithm) and always cross-checked against that system: a bracket around the
+descent's answer certifies that the stationarity root lies within tolerance,
+and only when the certificate fails does a bisection on the stationarity gap
+locate the root.
+
+The public functions validate their arguments.  ``optimize_two`` validates
+once on entry; its inner loops then call unchecked bodies (``_cost_pair``,
+``_optimal_gap`` and the one-measure and parallel-sum bodies they use) with
+the same arithmetic, so they return the same bits.
 """
 
 from __future__ import annotations
@@ -17,10 +25,11 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .kalman import _check_domain, _check_finite, _check_positive, parallel_sum
+from .kalman import _check_domain, _check_finite, _check_positive
+from .kalman import _parallel_sum, parallel_sum
 from .numerics import bisect_root, golden_section_min
-from .one_measure import _noise_ratio, critical_duration_1, duration_from_instant
-from .one_measure import optimal_instant_1
+from .one_measure import _noise_ratio, _optimal_instant, critical_duration_1
+from .one_measure import duration_from_instant, optimal_instant_1
 
 __all__ = [
     "TwoMeasureRegime",
@@ -69,6 +78,8 @@ _GOLDEN_TOL = 1e-10
 _STATIONARITY_TOL = 1e-12
 # largest allowed distance between the descent and the stationarity solution
 _CROSS_CHECK_TOL = 1e-5
+# half-width, in t1, of the bracket that certifies the cross-check
+_CERTIFICATE_RADIUS = _CROSS_CHECK_TOL / 4
 
 
 @dataclass(frozen=True)
@@ -109,11 +120,19 @@ def cost_pair(
     """Integral cost of measuring at t1 and t2 (0 <= t1 <= t2 <= T)."""
     _check_positive(sigma2=sigma2, T=T)
     _check_domain(v0=v0, v1=v1, v2=v2)
+    return _cost_pair(sigma2, T, v0, v1, v2, t1, t2)
+
+
+def _cost_pair(
+    sigma2: float, T: float, v0: float, v1: float, v2: float, t1: float, t2: float
+) -> float:
+    """:func:`cost_pair` for validated sigma2, T and variances; the order of
+    the instants is still checked."""
     if not (0.0 <= t1 <= t2 <= T):
         raise ValueError(f"need 0 <= t1 <= t2 <= T, got t1={t1}, t2={t2}, T={T}")
     gap = t2 - t1
-    post1 = parallel_sum(v1, v0 + sigma2 * t1)
-    post2 = parallel_sum(v2, post1 + sigma2 * gap)
+    post1 = _parallel_sum(v1, v0 + sigma2 * t1)
+    post2 = _parallel_sum(v2, post1 + sigma2 * gap)
     return (
         0.5 * sigma2 * t1 * t1
         + v0 * t1
@@ -150,7 +169,7 @@ def _t1_slope_factor(
     the prefactor vanishes)."""
     g = v0 + sigma2 * t1
     ratio = _noise_ratio(v1, g)
-    post1 = parallel_sum(v1, g)
+    post1 = _parallel_sum(v1, g)
     denom = v2 + sigma2 * (t2 - t1) + post1
     inner = (t2 - t1) if denom == 0.0 else v2 * v2 * (T - t2) / (denom * denom) + (t2 - t1)
     return g - (1.0 + ratio) * sigma2 * inner
@@ -169,7 +188,7 @@ def _line_search_t1(
     deterministically.
     """
     x = golden_section_min(
-        lambda u: cost_pair(sigma2, T, v0, v1, v2, u, t2), 0.0, t2, _GOLDEN_TOL
+        lambda u: _cost_pair(sigma2, T, v0, v1, v2, u, t2), 0.0, t2, _GOLDEN_TOL
     )
     width = 1e-6 * max(1.0, t2)
     lo, hi = max(0.0, x - width), min(t2, x + width)
@@ -274,6 +293,16 @@ def optimal_gap(
     return optimal_instant_1(sigma2, T - t1, prior, v2).t_opt
 
 
+def _optimal_gap(
+    sigma2: float, T: float, v0: float, v1: float, v2: float, t1: float
+) -> float:
+    """:func:`optimal_gap` for validated operands (and 0 <= t1)."""
+    if t1 >= T:
+        return 0.0
+    prior = _parallel_sum(v0 + sigma2 * t1, v1)
+    return _optimal_instant(sigma2, T - t1, prior, v2)[0]
+
+
 def equilibrium_gap(
     sigma2: float, v0: float, v1: float, v2: float, t1: float
 ) -> float:
@@ -288,7 +317,7 @@ def _stationarity_root(
     sigma2: float, T: float, v0: float, v1: float, v2: float
 ) -> tuple[float, float]:
     def gap_mismatch(t1: float) -> float:
-        return optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
+        return _optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
             sigma2, v0, v1, v2, t1
         )
 
@@ -297,6 +326,35 @@ def _stationarity_root(
         return 0.0, equilibrium_gap(sigma2, v0, v1, v2, 0.0)
     t1 = bisect_root(gap_mismatch, 0.0, T, tol=_STATIONARITY_TOL)
     return t1, t1 + equilibrium_gap(sigma2, v0, v1, v2, t1)
+
+
+def _cross_check_certified(
+    sigma2: float, T: float, v0: float, v1: float, v2: float, t1: float, t2: float
+) -> bool:
+    """Whether the stationarity root provably lies within ``_CROSS_CHECK_TOL``
+    of the descent's (t1, t2), so that bisecting for it can be skipped.
+
+    The gap mismatch m = optimal_gap - equilibrium_gap strictly decreases in
+    t1.  So if m(lo) > 0 (or lo = 0) and m(hi) < 0, the root b1 lies in
+    [lo, hi] = [t1 - r, t1 + r] clipped to [0, T], and, t1 + equilibrium_gap(t1)
+    being increasing, its b2 = b1 + equilibrium_gap(b1) lies in
+    [lo + eq(lo), hi + eq(hi)].  An acceptance therefore implies that the
+    bisection would have passed the cross-check.
+    """
+    lo, hi = max(0.0, t1 - _CERTIFICATE_RADIUS), min(T, t1 + _CERTIFICATE_RADIUS)
+    # equilibrium_gap is a bisection that stops at a bracket of 1e-12*max(x, 1)
+    # in x = sigma2*t2, which is 1e-12*max(t2, 1/sigma2) in time; closer to 0
+    # than ten times that, a sign of m or a distance is not trusted
+    slack = 1e-11 * max(t2, 1.0 / sigma2)
+    eq_hi = equilibrium_gap(sigma2, v0, v1, v2, hi)
+    if not _optimal_gap(sigma2, T, v0, v1, v2, hi) - eq_hi < -slack:
+        return False
+    eq_lo = equilibrium_gap(sigma2, v0, v1, v2, lo)
+    if lo > 0.0 and not _optimal_gap(sigma2, T, v0, v1, v2, lo) - eq_lo > slack:
+        return False
+    # the bisection for b1 stops at a bracket of _STATIONARITY_TOL
+    reach = max(t2 - (lo + eq_lo), hi + eq_hi - t2)
+    return reach <= _CROSS_CHECK_TOL - slack - 2.0 * _STATIONARITY_TOL
 
 
 def solve_stationarity(
@@ -336,7 +394,13 @@ def optimize_two(
     one-measure reduction, the t1 update is a golden-section line search, and
     iteration stops when both coordinate steps drop below
     ``options.step_tol``.  The result is always cross-checked against the
-    stationarity bisection of :func:`solve_stationarity`.
+    stationarity system of :func:`solve_stationarity`: a bracket of the
+    stationarity root around the descent's t1 certifies agreement within
+    tolerance, and the bisection runs only when that certificate fails.  A
+    disagreement, like non-convergence, raises ``RuntimeError``.
+
+    The arguments are validated once, here.  The trace, with its per-iteration
+    costs and final gap, is computed only when ``with_trace`` is set.
     """
     opts = options or DescentOptions()
     _check_positive(sigma2=sigma2, T=T)
@@ -350,63 +414,67 @@ def optimize_two(
             t1_opt=0.0,
             t2_opt=0.0,
             regime=regime,
-            cost_at_opt=cost_pair(sigma2, T, v0, v1, v2, 0.0, 0.0),
+            cost_at_opt=_cost_pair(sigma2, T, v0, v1, v2, 0.0, 0.0),
             T2_crit=t2_crit,
             T1_crit=t1_crit,
         )
 
-    t2_first = optimal_instant_1(sigma2, T, parallel_sum(v0, v1), v2).t_opt
+    t2_first = _optimal_instant(sigma2, T, _parallel_sum(v0, v1), v2)[0]
     if regime is TwoMeasureRegime.REGIME2:
         return TwoMeasureSolution(
             t1_opt=0.0,
             t2_opt=t2_first,
             regime=regime,
-            cost_at_opt=cost_pair(sigma2, T, v0, v1, v2, 0.0, t2_first),
+            cost_at_opt=_cost_pair(sigma2, T, v0, v1, v2, 0.0, t2_first),
             T2_crit=t2_crit,
             T1_crit=t1_crit,
         )
 
-    def line_cost(u: float, t2: float) -> float:
-        return cost_pair(sigma2, T, v0, v1, v2, u, t2)
-
     t2 = t2_first
     t1 = _line_search_t1(sigma2, T, v0, v1, v2, t2)
-    steps = [(t1, t2, line_cost(t1, t2), math.nan, math.nan)]
+    steps = []
+    if with_trace:
+        steps.append((t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), math.nan, math.nan))
+    d1 = d2 = math.nan
     converged = False
     for _ in range(opts.max_iterations):
-        t2_new = t1 + optimal_gap(sigma2, T, v0, v1, v2, t1)
+        t2_new = t1 + _optimal_gap(sigma2, T, v0, v1, v2, t1)
         t1_new = _line_search_t1(sigma2, T, v0, v1, v2, t2_new)
         d1, d2 = abs(t1_new - t1), abs(t2_new - t2)
         t1, t2 = t1_new, t2_new
-        steps.append((t1, t2, line_cost(t1, t2), d1, d2))
+        if with_trace:
+            steps.append((t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), d1, d2))
         if d1 < opts.step_tol and d2 < opts.step_tol:
             converged = True
             break
     if not converged:
         raise RuntimeError(
             f"coordinate descent did not converge within {opts.max_iterations} "
-            f"iterations (last steps {steps[-1][3]:.3e}, {steps[-1][4]:.3e})"
+            f"iterations (last steps {d1:.3e}, {d2:.3e})"
         )
 
-    b1, b2 = _stationarity_root(sigma2, T, v0, v1, v2)
-    if max(abs(b1 - t1), abs(b2 - t2)) > _CROSS_CHECK_TOL:
-        raise RuntimeError(
-            "coordinate descent and the stationarity solver disagree: "
-            f"descent ({t1}, {t2}) vs bisection ({b1}, {b2})"
-        )
+    if not _cross_check_certified(sigma2, T, v0, v1, v2, t1, t2):
+        b1, b2 = _stationarity_root(sigma2, T, v0, v1, v2)
+        if max(abs(b1 - t1), abs(b2 - t2)) > _CROSS_CHECK_TOL:
+            raise RuntimeError(
+                "coordinate descent and the stationarity solver disagree: "
+                f"descent ({t1}, {t2}) vs bisection ({b1}, {b2})"
+            )
 
-    gap_residual = optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
-        sigma2, v0, v1, v2, t1
-    )
-    trace = DescentTrace(
-        iterations=tuple(steps), converged=converged, final_gap=gap_residual
-    )
+    trace = None
+    if with_trace:
+        gap_residual = _optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
+            sigma2, v0, v1, v2, t1
+        )
+        trace = DescentTrace(
+            iterations=tuple(steps), converged=converged, final_gap=gap_residual
+        )
     return TwoMeasureSolution(
         t1_opt=t1,
         t2_opt=t2,
         regime=regime,
-        cost_at_opt=cost_pair(sigma2, T, v0, v1, v2, t1, t2),
+        cost_at_opt=_cost_pair(sigma2, T, v0, v1, v2, t1, t2),
         T2_crit=t2_crit,
         T1_crit=t1_crit,
-        trace=trace if with_trace else None,
+        trace=trace,
     )

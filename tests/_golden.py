@@ -1,0 +1,157 @@
+"""Exact results of the solvers, stored in tests/golden/solutions.json.
+
+Re-record, from the repository root, with
+
+    PYTHONPATH=src python3 tests/_golden.py
+
+The instances are seeded draws over all three two-measure regimes, at time
+and variance scales 10^U(-2, 2) and with zero variances mixed in.  Inputs and
+results are stored as ``float.hex`` (an error as its type and message), so that
+``test_golden_solutions_are_bit_identical`` can demand exact equality.  Only
+re-record when a change is meant to move results, and say so where the
+change is described.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from bmsched.one_measure import optimal_instant_1
+from bmsched.two_measure import (
+    cost_pair,
+    critical_duration_2_first,
+    critical_duration_2_second,
+    optimal_gap,
+    optimize_two,
+)
+
+PATH = Path(__file__).parent / "golden" / "solutions.json"
+SEED = 20261018
+PER_REGIME = 100
+
+
+def _hex(x: float | None) -> str | None:
+    return None if x is None else float(x).hex()
+
+
+def _iterations_digest(iterations) -> str:
+    """sha256 of every float of a descent trace, in ``float.hex`` form."""
+    text = ";".join(",".join(float(x).hex() for x in it) for it in iterations)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def solve_optimize_two(args) -> dict:
+    sol = optimize_two(*args, with_trace=True)
+    trace = sol.trace
+    return {
+        "regime": sol.regime.value,
+        "t1_opt": _hex(sol.t1_opt),
+        "t2_opt": _hex(sol.t2_opt),
+        "cost_at_opt": _hex(sol.cost_at_opt),
+        "T2_crit": _hex(sol.T2_crit),
+        "T1_crit": _hex(sol.T1_crit),
+        "iterations": None if trace is None else len(trace.iterations),
+        "iterations_sha256": None if trace is None else _iterations_digest(trace.iterations),
+        "final_gap": None if trace is None else _hex(trace.final_gap),
+    }
+
+
+def solve_optimal_instant_1(args) -> dict:
+    sol = optimal_instant_1(*args)
+    return {
+        "t_opt": _hex(sol.t_opt),
+        "regime": sol.regime.value,
+        "cost_at_opt": _hex(sol.cost_at_opt),
+        "critical_duration": _hex(sol.critical_duration),
+    }
+
+
+SOLVERS = {
+    "optimize_two": solve_optimize_two,
+    "optimal_instant_1": solve_optimal_instant_1,
+    "cost_pair": lambda args: {"cost": _hex(cost_pair(*args))},
+    "optimal_gap": lambda args: {"gap": _hex(optimal_gap(*args))},
+}
+
+
+def solve(name: str, args) -> dict:
+    """Results of one stored call; an error is stored as its type and message."""
+    try:
+        return SOLVERS[name](args)
+    except (ValueError, RuntimeError) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _draw(rng, regime: int):
+    """(sigma2, T, v0, v1, v2) whose horizon lies in the given regime."""
+    while True:
+        sigma2 = float(10.0 ** rng.uniform(-2.0, 2.0))
+        scale = float(10.0 ** rng.uniform(-2.0, 2.0))
+        v = [float(rng.uniform(0.0, 4.0)) * scale for _ in range(3)]
+        for k in range(3):
+            if rng.uniform() < 0.1:
+                v[k] = 0.0
+        v0, v1, v2 = v
+        t2c = critical_duration_2_second(sigma2, v0, v1, v2)
+        t1c = critical_duration_2_first(sigma2, v0, v1, v2)
+        if regime == 1:
+            T = t2c * float(rng.uniform(0.1, 1.0))
+        elif regime == 2:
+            T = t2c + (t1c - t2c) * float(rng.uniform(0.01, 0.99))
+        elif t1c > 0.0:
+            T = t1c * float(rng.uniform(1.05, 4.0))
+        else:
+            T = scale / sigma2 * float(rng.uniform(0.1, 4.0))
+        if T > 0.0:
+            return sigma2, T, v0, v1, v2
+
+
+def inputs() -> dict:
+    """The seeded inputs of every solver, in recording order."""
+    rng = np.random.default_rng(SEED)
+    doc = {name: [] for name in SOLVERS}
+    for regime in (1, 2, 3):
+        for _ in range(PER_REGIME):
+            args = _draw(rng, regime)
+            T = args[1]
+            t1, t2 = sorted(float(x) for x in rng.uniform(0.0, T, size=2))
+            doc["optimize_two"].append(args)
+            doc["optimal_instant_1"].append(args[:4])
+            doc["cost_pair"].append((*args, t1, t2))
+            doc["optimal_gap"].append((*args, t1))
+    return doc
+
+
+def _dumps(doc: dict) -> str:
+    """JSON with one record per line, so that a re-recording diffs by record."""
+    sections = []
+    for name, records in doc.items():
+        lines = ",\n".join("  " + json.dumps(r, separators=(",", ":")) for r in records)
+        sections.append(f" {json.dumps(name)}: [\n{lines}\n ]")
+    return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
+def load() -> dict:
+    """Stored records: solver name -> list of (args, expected results)."""
+    doc = json.loads(PATH.read_text())
+    return {
+        name: [
+            (tuple(float.fromhex(x) for x in r["args"]),
+             {k: v for k, v in r.items() if k != "args"})
+            for r in records
+        ]
+        for name, records in doc.items()
+    }
+
+
+if __name__ == "__main__":
+    recorded = {
+        name: [{"args": [_hex(x) for x in args], **solve(name, args)} for args in arg_list]
+        for name, arg_list in inputs().items()
+    }
+    PATH.write_text(_dumps(recorded))
+    print(f"wrote {PATH}")

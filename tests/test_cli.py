@@ -149,6 +149,15 @@ def test_profile_length_mismatch_is_domain_error(capsys):
     assert "sensors" in capsys.readouterr().err
 
 
+def test_exit_code_solver_failure(capsys):
+    status = run(
+        ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1", "--v1", "1",
+         "--v2", "1", "--max-iters", "1"]
+    )
+    assert status == 5
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_oracle_check_pass_and_fail(capsys):
     status, out = run_cli(
         capsys,

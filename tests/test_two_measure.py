@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import _golden
 from _props import check_two_measure_derivative, draw_two_measure_instance
-from bmsched import numerics, one_measure
+from bmsched import numerics, one_measure, two_measure
 from bmsched.kalman import ModelParams, parallel_sum
 from bmsched.two_measure import (
     DescentOptions,
@@ -380,6 +381,41 @@ def test_regime1_cost_equals_merged_single_measure():
         assert math.isclose(sol.cost_at_opt, merged, rel_tol=1e-13)
 
 
+def test_cross_check_certificate_accepts_regime3_solutions():
+    """On random regime-3 instances the bracket certificate accepts the
+    descent's answer, and the stationarity bisection indeed lies within the
+    cross-check tolerance of it."""
+    rng = np.random.default_rng(41)
+    runs = 0
+    while runs < 200:
+        sigma2 = float(10.0 ** rng.uniform(-1.0, 1.0))
+        scale = float(10.0 ** rng.uniform(-1.0, 1.0))
+        v0, v1, v2 = (float(x) * scale for x in rng.uniform(0.0, 5.0, size=3))
+        T = critical_duration_2_first(sigma2, v0, v1, v2) + scale / sigma2 * float(
+            rng.uniform(0.05, 5.0)
+        )
+        if classify_regime(sigma2, T, v0, v1, v2) is not TwoMeasureRegime.REGIME3:
+            continue
+        runs += 1
+        sol = optimize_two(sigma2, T, v0, v1, v2)
+        t1, t2 = sol.t1_opt, sol.t2_opt
+        assert two_measure._cross_check_certified(sigma2, T, v0, v1, v2, t1, t2)
+        b1, b2 = solve_stationarity(sigma2, T, v0, v1, v2)
+        assert max(abs(b1 - t1), abs(b2 - t2)) <= two_measure._CROSS_CHECK_TOL
+
+
+def test_cross_check_disagreement_still_raises(monkeypatch):
+    """A descent answer 1e-4 off fails the certificate, and the fallback
+    bisection reports the disagreement."""
+    line_search = two_measure._line_search_t1
+    monkeypatch.setattr(
+        two_measure, "_line_search_t1", lambda *args: line_search(*args) + 1e-4
+    )
+    v0, v1, v2, T = ROW_B
+    with pytest.raises(RuntimeError, match="disagree"):
+        optimize_two(1.0, T, v0, v1, v2)
+
+
 def test_descent_iteration_behavior():
     rng = np.random.default_rng(32)
     runs = 0
@@ -416,3 +452,12 @@ def test_domain_errors():
         optimize_two(1.0, 1.0, 1.0, math.inf, 1.0)
     with pytest.raises(ValueError):
         cubic_coeffs(1.0, -0.1, 1.0)
+
+
+def test_golden_solutions_are_bit_identical():
+    """optimize_two (with its trace), optimal_instant_1, cost_pair and
+    optimal_gap reproduce tests/golden/solutions.json bit for bit, errors
+    included."""
+    for name, records in _golden.load().items():
+        for args, expected in records:
+            assert _golden.solve(name, args) == expected, (name, args)

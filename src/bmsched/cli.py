@@ -6,8 +6,9 @@ sweeps) with numbers rendered to 12 significant digits, so identical
 invocations produce byte-identical documents.
 
 Exit codes: 0 success, 2 argument error, 3 domain error, 4 oracle discrepancy
-beyond tolerance, 5 solver failure (the descent did not converge, or it and the
-stationarity cross-check disagree).
+beyond tolerance, 5 solver failure (the coordinate descent that ``optimize2``
+runs with ``--trace``, ``--tol`` or ``--max-iters`` did not converge, or it and
+the stationarity cross-check disagree).
 """
 
 from __future__ import annotations
@@ -138,9 +139,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--v0", type=parse_real, required=True)
     p2.add_argument("--v1", type=parse_real, required=True)
     p2.add_argument("--v2", type=parse_real, required=True)
-    p2.add_argument("--trace", action="store_true", help="include the descent trace")
-    p2.add_argument("--tol", type=parse_positive, default=1e-9, help="descent step tolerance")
-    p2.add_argument("--max-iters", type=int, default=200)
+    p2.add_argument(
+        "--trace", action="store_true",
+        help="solve regime 3 by the paper's coordinate descent and include its trace",
+    )
+    p2.add_argument(
+        "--tol", type=parse_positive, default=None,
+        help="solve regime 3 by coordinate descent with this step tolerance (default 1e-9)",
+    )
+    p2.add_argument(
+        "--max-iters", type=int, default=None,
+        help="solve regime 3 by coordinate descent with this iteration limit (default 200)",
+    )
     add_common(p2)
 
     pp = sub.add_parser("profile", help="variance profile of a given schedule")
@@ -198,11 +208,17 @@ def _one_measure_doc(args) -> dict:
 
 
 def _two_measure_doc(args) -> dict:
-    opts = DescentOptions(step_tol=args.tol, max_iterations=args.max_iters)
-    sol = two_measure.optimize_two(
-        args.sigma2, args.T, args.v0, args.v1, args.v2,
-        options=opts, with_trace=args.trace,
-    )
+    given = {
+        name: value
+        for name, value in (("step_tol", args.tol), ("max_iterations", args.max_iters))
+        if value is not None
+    }
+    if args.trace or given:
+        sol = two_measure.descend_two(
+            args.sigma2, args.T, args.v0, args.v1, args.v2, DescentOptions(**given)
+        )
+    else:
+        sol = two_measure.optimize_two(args.sigma2, args.T, args.v0, args.v1, args.v2)
     doc = {
         "t1_opt": sol.t1_opt,
         "t2_opt": sol.t2_opt,

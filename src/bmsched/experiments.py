@@ -205,8 +205,9 @@ def _draw_regime3_triples(
 
 
 def descent_statistics(spec: SweepSpec) -> SweepResult:
-    """Convergence statistics of the coordinate descent on random regime-3
-    instances; one row per run, full traces in ``details``."""
+    """Convergence statistics of the coordinate descent
+    (:func:`two_measure.descend_two`) on random regime-3 instances; one row
+    per run, full traces in ``details``."""
     _require_kind(spec, "descent_stats")
     sigma2 = spec.value("sigma2", 1.0)
     T = spec.value("T", 10.0)
@@ -217,8 +218,7 @@ def descent_statistics(spec: SweepSpec) -> SweepResult:
     rows = []
     traces = []
     for v0, v1, v2 in triples:
-        sol = two_measure.optimize_two(sigma2, T, v0, v1, v2, with_trace=True)
-        trace = sol.trace
+        trace = two_measure.descend_two(sigma2, T, v0, v1, v2).trace
         assert trace is not None
         traces.append(trace)
         first_small = math.nan

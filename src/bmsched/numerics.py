@@ -56,7 +56,9 @@ def golden_section_min(
 
     The bracket shrinks by the golden ratio conjugate per iteration with one
     function evaluation each; if ``trace`` is a list, the bracket (lo, hi) is
-    appended after every shrink.
+    appended after every shrink.  The search also stops when an iteration
+    leaves the bracket no narrower, which happens only once it spans a few
+    floats (a tol below their spacing would otherwise never be met).
     """
     if not lo < hi:
         raise ValueError(f"golden_section_min needs lo < hi, got [{lo}, {hi}]")
@@ -68,6 +70,7 @@ def golden_section_min(
     d = a + rho * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - rho * (b - a)
@@ -78,6 +81,8 @@ def golden_section_min(
             fd = f(d)
         if trace is not None:
             trace.append((a, b))
+        if b - a >= width:
+            break
     return 0.5 * (a + b)
 
 
@@ -88,7 +93,12 @@ def bisect_root(
     tol: float,
     trace: list | None = None,
 ) -> float:
-    """Root of a sign-changing function by bisection, to within tol."""
+    """Root of a sign-changing function by bisection, to within tol.
+
+    The bisection also stops when lo and hi are adjacent floats, whose
+    midpoint is one of them (a tol below their spacing would otherwise never
+    be met).
+    """
     if not lo < hi:
         raise ValueError(f"bisect_root needs lo < hi, got [{lo}, {hi}]")
     if not tol > 0:
@@ -102,6 +112,8 @@ def bisect_root(
         return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         gm = g(mid)
         if gm == 0.0:
             return mid

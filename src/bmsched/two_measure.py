@@ -4,17 +4,23 @@ Three regimes exist depending on the horizon length T.  For short horizons
 both measurements happen at 0; past a first critical duration only the second
 one leaves 0; past a second critical duration both are interior.  The
 regime-2/3 boundary is governed by a cubic in sigma2*t2 whose coefficient sign
-pattern (one sign change) guarantees a unique positive root.  The optimizer
-compares T with the two critical durations once and takes the path of the
-regime that comparison gives.  In regime 3 the optimum solves a two-equation
-stationarity system; it is found by coordinate descent (the reference
-algorithm) and always cross-checked against that system: a bracket around the
+pattern (one sign change) guarantees a unique positive root.  The optimizers
+compare T with the two critical durations once and take the path of the
+regime that comparison gives; regimes 1 and 2 are closed-form.
+
+In regime 3 the optimum solves a two-equation stationarity system.
+``optimize_two`` solves it in dimensionless units (u = t/T, a_k =
+v_k/(sigma2*T)) as one bisection: for a fixed first instant the best second
+one is closed-form, so the optimal u1 is the single sign change of the t1
+slope along that curve.  ``descend_two`` keeps the paper's algorithm as the
+reference: coordinate descent with golden-section line searches, always
+cross-checked against the stationarity system (a bracket around the
 descent's answer certifies that the stationarity root lies within tolerance,
 and only when the certificate fails does a bisection on the stationarity gap
-locate the root.
+locate the root).  It returns the descent's trace.
 
-The public functions validate their arguments.  ``optimize_two`` validates
-once on entry; its inner loops then call unchecked bodies (``_cost_pair``,
+The public functions validate their arguments.  The optimizers validate once
+on entry; their inner loops then call unchecked bodies (``_cost_pair``,
 ``_optimal_gap`` and the one-measure and parallel-sum bodies they use) with
 the same arithmetic, so they return the same bits.
 """
@@ -47,6 +53,7 @@ __all__ = [
     "optimal_gap",
     "equilibrium_gap",
     "optimize_two",
+    "descend_two",
     "solve_stationarity",
 ]
 
@@ -80,6 +87,8 @@ _STATIONARITY_TOL = 1e-12
 _CROSS_CHECK_TOL = 1e-5
 # half-width, in t1, of the bracket that certifies the cross-check
 _CERTIFICATE_RADIUS = _CROSS_CHECK_TOL / 4
+# bracket width, in u = t1/T, of the reduced regime-3 root
+_ROOT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -252,6 +261,10 @@ def critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) ->
     """Largest horizon for which the first measurement stays at 0."""
     _check_positive(sigma2=sigma2)
     _check_finite(v0=v0, v1=v1, v2=v2)
+    if v0 == 0.0:
+        # every horizon is regime 3; the formula below would leave a rounding
+        # residue of either sign
+        return 0.0
     spacing = critical_spacing(sigma2, v0, v1, v2)
     return duration_from_instant(sigma2, spacing, parallel_sum(v0, v1), v2)
 
@@ -375,14 +388,64 @@ def solve_stationarity(
     return _stationarity_root(sigma2, T, v0, v1, v2)
 
 
+def _merged_prior_instant(
+    sigma2: float, T: float, v0: float, v1: float, v2: float
+) -> float:
+    """t2 of the regime-2 schedule (0, t2): the one-measure optimum for the
+    prior v0 || v1 and sensor v2."""
+    return _optimal_instant(sigma2, T, _parallel_sum(v0, v1), v2)[0]
+
+
+def _solve(sigma2, T, v0, v1, v2, interior) -> TwoMeasureSolution:
+    """Validate once, classify once, and solve: closed forms in regimes 1 and
+    2, and ``interior(sigma2, T, v0, v1, v2) -> (t1, t2, trace)`` in regime 3."""
+    _check_positive(sigma2=sigma2, T=T)
+    _check_finite(v0=v0, v1=v1, v2=v2)
+    t2_crit = critical_duration_2_second(sigma2, v0, v1, v2)
+    t1_crit = critical_duration_2_first(sigma2, v0, v1, v2)
+    regime = _regime(T, t2_crit, t1_crit)
+    trace = None
+    if regime is TwoMeasureRegime.REGIME1:
+        t1 = t2 = 0.0
+    elif regime is TwoMeasureRegime.REGIME2:
+        t1, t2 = 0.0, _merged_prior_instant(sigma2, T, v0, v1, v2)
+    else:
+        t1, t2, trace = interior(sigma2, T, v0, v1, v2)
+    return TwoMeasureSolution(
+        t1_opt=t1,
+        t2_opt=t2,
+        regime=regime,
+        cost_at_opt=_cost_pair(sigma2, T, v0, v1, v2, t1, t2),
+        T2_crit=t2_crit,
+        T1_crit=t1_crit,
+        trace=trace,
+    )
+
+
+def _reduced_root(
+    sigma2: float, T: float, v0: float, v1: float, v2: float
+) -> tuple[float, float, None]:
+    """Regime-3 optimum as the sign change of the reduced t1 slope.
+
+    In units u = t/T and a_k = v_k/(sigma2*T) the problem has sigma2 = T = 1.
+    For a fixed u the best second instant is u + optimal_gap(u), so by the
+    envelope theorem the slope of the reduced cost is the t1 slope there; it
+    changes sign once on [0, 1] (it is a0 + 1 > 0 at u = 1), and its final
+    bisection bracket, 1e-13 wide, certifies the root.
+    """
+    scale = sigma2 * T
+    a0, a1, a2 = v0 / scale, v1 / scale, v2 / scale
+
+    def slope(u: float) -> float:
+        gap = _optimal_gap(1.0, 1.0, a0, a1, a2, u)
+        return _t1_slope_factor(1.0, 1.0, a0, a1, a2, u, u + gap)
+
+    u1 = 0.0 if slope(0.0) >= 0.0 else bisect_root(slope, 0.0, 1.0, tol=_ROOT_TOL)
+    return u1 * T, (u1 + _optimal_gap(1.0, 1.0, a0, a1, a2, u1)) * T, None
+
+
 def optimize_two(
-    sigma2: float,
-    T: float,
-    v0: float,
-    v1: float,
-    v2: float,
-    options: DescentOptions | None = None,
-    with_trace: bool = False,
+    sigma2: float, T: float, v0: float, v1: float, v2: float
 ) -> TwoMeasureSolution:
     """Optimal schedule of two measurements on [0, T].
 
@@ -390,51 +453,26 @@ def optimize_two(
     and T1_crit (see :func:`classify_regime`), and the solve takes that
     regime's path.  Regime 1 returns (0, 0) and regime 2 returns (0, t2) with
     t2 the one-measure optimum for the merged prior; both are closed-form.
-    Regime 3 runs coordinate descent from that point: the t2 update is the
-    one-measure reduction, the t1 update is a golden-section line search, and
-    iteration stops when both coordinate steps drop below
-    ``options.step_tol``.  The result is always cross-checked against the
-    stationarity system of :func:`solve_stationarity`: a bracket of the
-    stationarity root around the descent's t1 certifies agreement within
-    tolerance, and the bisection runs only when that certificate fails.  A
-    disagreement, like non-convergence, raises ``RuntimeError``.
+    Regime 3 solves the problem in dimensionless units u = t/T, where it
+    reduces to one root: the single sign change, on [0, 1], of the t1 slope
+    along the curve u -> (u, u + optimal_gap(u)), found by bisection to a
+    bracket of 1e-13.  Its answer is therefore the same fraction of T at every
+    time and variance scale, and the loop always ends.  The result carries no
+    trace; :func:`descend_two` runs the paper's coordinate descent instead.
 
-    The arguments are validated once, here.  The trace, with its per-iteration
-    costs and final gap, is computed only when ``with_trace`` is set.
+    The arguments are validated once, here.
     """
-    opts = options or DescentOptions()
-    _check_positive(sigma2=sigma2, T=T)
-    _check_finite(v0=v0, v1=v1, v2=v2)
-    t2_crit = critical_duration_2_second(sigma2, v0, v1, v2)
-    t1_crit = critical_duration_2_first(sigma2, v0, v1, v2)
-    regime = _regime(T, t2_crit, t1_crit)
+    return _solve(sigma2, T, v0, v1, v2, _reduced_root)
 
-    if regime is TwoMeasureRegime.REGIME1:
-        return TwoMeasureSolution(
-            t1_opt=0.0,
-            t2_opt=0.0,
-            regime=regime,
-            cost_at_opt=_cost_pair(sigma2, T, v0, v1, v2, 0.0, 0.0),
-            T2_crit=t2_crit,
-            T1_crit=t1_crit,
-        )
 
-    t2_first = _optimal_instant(sigma2, T, _parallel_sum(v0, v1), v2)[0]
-    if regime is TwoMeasureRegime.REGIME2:
-        return TwoMeasureSolution(
-            t1_opt=0.0,
-            t2_opt=t2_first,
-            regime=regime,
-            cost_at_opt=_cost_pair(sigma2, T, v0, v1, v2, 0.0, t2_first),
-            T2_crit=t2_crit,
-            T1_crit=t1_crit,
-        )
-
-    t2 = t2_first
+def _descend(
+    sigma2: float, T: float, v0: float, v1: float, v2: float, opts: DescentOptions
+) -> tuple[float, float, DescentTrace]:
+    """Coordinate descent from the regime-2 schedule, cross-checked against
+    the stationarity system; see :func:`descend_two`."""
+    t2 = _merged_prior_instant(sigma2, T, v0, v1, v2)
     t1 = _line_search_t1(sigma2, T, v0, v1, v2, t2)
-    steps = []
-    if with_trace:
-        steps.append((t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), math.nan, math.nan))
+    steps = [(t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), math.nan, math.nan)]
     d1 = d2 = math.nan
     converged = False
     for _ in range(opts.max_iterations):
@@ -442,8 +480,7 @@ def optimize_two(
         t1_new = _line_search_t1(sigma2, T, v0, v1, v2, t2_new)
         d1, d2 = abs(t1_new - t1), abs(t2_new - t2)
         t1, t2 = t1_new, t2_new
-        if with_trace:
-            steps.append((t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), d1, d2))
+        steps.append((t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), d1, d2))
         if d1 < opts.step_tol and d2 < opts.step_tol:
             converged = True
             break
@@ -461,20 +498,39 @@ def optimize_two(
                 f"descent ({t1}, {t2}) vs bisection ({b1}, {b2})"
             )
 
-    trace = None
-    if with_trace:
-        gap_residual = _optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
-            sigma2, v0, v1, v2, t1
-        )
-        trace = DescentTrace(
-            iterations=tuple(steps), converged=converged, final_gap=gap_residual
-        )
-    return TwoMeasureSolution(
-        t1_opt=t1,
-        t2_opt=t2,
-        regime=regime,
-        cost_at_opt=_cost_pair(sigma2, T, v0, v1, v2, t1, t2),
-        T2_crit=t2_crit,
-        T1_crit=t1_crit,
-        trace=trace,
+    gap_residual = _optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
+        sigma2, v0, v1, v2, t1
     )
+    trace = DescentTrace(
+        iterations=tuple(steps), converged=converged, final_gap=gap_residual
+    )
+    return t1, t2, trace
+
+
+def descend_two(
+    sigma2: float,
+    T: float,
+    v0: float,
+    v1: float,
+    v2: float,
+    options: DescentOptions | None = None,
+) -> TwoMeasureSolution:
+    """Optimal schedule of two measurements by the paper's coordinate descent.
+
+    The reference algorithm.  The regime decision and the closed forms of
+    regimes 1 and 2 are those of :func:`optimize_two`.  Regime 3 runs
+    coordinate descent from the regime-2 schedule: the t2 update is the
+    one-measure reduction, the t1 update is a golden-section line search, and
+    iteration stops when both coordinate steps drop below
+    ``options.step_tol``.  The result is always cross-checked against the
+    stationarity system of :func:`solve_stationarity`: a bracket of the
+    stationarity root around the descent's t1 certifies agreement within
+    tolerance, and the bisection runs only when that certificate fails.  A
+    disagreement, like non-convergence, raises ``RuntimeError``.  In regime 3
+    the solution carries the descent's trace.
+
+    The stop rules are absolute widths in time, so at large time scales the
+    descent can fail to converge where :func:`optimize_two` does not.
+    """
+    opts = options or DescentOptions()
+    return _solve(sigma2, T, v0, v1, v2, lambda *args: _descend(*args, opts))

@@ -5,7 +5,10 @@ Re-record, from the repository root, with
     PYTHONPATH=src python3 tests/_golden.py
 
 The instances are seeded draws over all three two-measure regimes, at time
-and variance scales 10^U(-2, 2) and with zero variances mixed in.  Inputs and
+and variance scales 10^U(-2, 2) and with zero variances mixed in.  They were
+drawn once, when the file was first recorded; a re-recording solves the
+stored instances again.  ``optimize_two`` and ``descend_two`` share their
+instances, and the descent's records include its trace.  Inputs and
 results are stored as ``float.hex`` (an error as its type and message), so that
 ``test_golden_solutions_are_bit_identical`` can demand exact equality.  Only
 re-record when a change is meant to move results, and say so where the
@@ -25,6 +28,7 @@ from bmsched.two_measure import (
     cost_pair,
     critical_duration_2_first,
     critical_duration_2_second,
+    descend_two,
     optimal_gap,
     optimize_two,
 )
@@ -44,9 +48,7 @@ def _iterations_digest(iterations) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def solve_optimize_two(args) -> dict:
-    sol = optimize_two(*args, with_trace=True)
-    trace = sol.trace
+def _solution(sol) -> dict:
     return {
         "regime": sol.regime.value,
         "t1_opt": _hex(sol.t1_opt),
@@ -54,6 +56,14 @@ def solve_optimize_two(args) -> dict:
         "cost_at_opt": _hex(sol.cost_at_opt),
         "T2_crit": _hex(sol.T2_crit),
         "T1_crit": _hex(sol.T1_crit),
+    }
+
+
+def solve_descend_two(args) -> dict:
+    sol = descend_two(*args)
+    trace = sol.trace
+    return {
+        **_solution(sol),
         "iterations": None if trace is None else len(trace.iterations),
         "iterations_sha256": None if trace is None else _iterations_digest(trace.iterations),
         "final_gap": None if trace is None else _hex(trace.final_gap),
@@ -71,7 +81,8 @@ def solve_optimal_instant_1(args) -> dict:
 
 
 SOLVERS = {
-    "optimize_two": solve_optimize_two,
+    "optimize_two": lambda args: _solution(optimize_two(*args)),
+    "descend_two": solve_descend_two,
     "optimal_instant_1": solve_optimal_instant_1,
     "cost_pair": lambda args: {"cost": _hex(cost_pair(*args))},
     "optimal_gap": lambda args: {"gap": _hex(optimal_gap(*args))},
@@ -120,6 +131,7 @@ def inputs() -> dict:
             T = args[1]
             t1, t2 = sorted(float(x) for x in rng.uniform(0.0, T, size=2))
             doc["optimize_two"].append(args)
+            doc["descend_two"].append(args)
             doc["optimal_instant_1"].append(args[:4])
             doc["cost_pair"].append((*args, t1, t2))
             doc["optimal_gap"].append((*args, t1))
@@ -149,9 +161,15 @@ def load() -> dict:
 
 
 if __name__ == "__main__":
+    # A re-recording solves the stored inputs again: drawing them anew would
+    # let a change to the critical durations that _draw calls change them.
+    if PATH.exists():
+        arg_lists = {name: [args for args, _ in records] for name, records in load().items()}
+    else:
+        arg_lists = inputs()
     recorded = {
         name: [{"args": [_hex(x) for x in args], **solve(name, args)} for args in arg_list]
-        for name, arg_list in inputs().items()
+        for name, arg_list in arg_lists.items()
     }
     PATH.write_text(_dumps(recorded))
     print(f"wrote {PATH}")

@@ -1,9 +1,12 @@
 """Randomized property suites shared between the module tests and the
-acceptance suite (which runs them at full sample counts)."""
+acceptance suite (which runs them at full sample counts), and a deadline for
+calls that must end."""
 
 from __future__ import annotations
 
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -140,3 +143,24 @@ def draw_two_measure_instance(rng: np.random.Generator) -> tuple[float, float, f
         T = float(rng.uniform(lo, min(lo + 3.0, 4.25))) + 0.05
     T = min(max(T, 0.05), 4.3)
     return sigma2, T, v0, v1, v2
+
+
+class DeadlineExceeded(Exception):
+    """Raised inside a call that outlived :func:`deadline`."""
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise :class:`DeadlineExceeded` in the body after ``seconds`` of wall
+    time, so that a test of a loop that must end fails instead of hanging."""
+
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

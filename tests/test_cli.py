@@ -72,7 +72,7 @@ def test_numbers_have_12_significant_digits(capsys):
     )
     line = next(l for l in out.splitlines() if '"t1_opt"' in l)
     digits = line.split(":")[1].strip().rstrip(",")
-    assert digits == "1.04016162071"
+    assert digits == "1.04016162076"
 
 
 def test_byte_identical_reruns(capsys):

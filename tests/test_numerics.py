@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from _props import deadline
 from bmsched.kalman import ModelParams
 from bmsched.numerics import (
     GOLDEN_RATIO_CONJUGATE,
@@ -89,6 +90,20 @@ def test_bisect_root_interval_halves_and_residual_shrinks():
     for a, b in zip(widths, widths[1:]):
         assert b == pytest.approx(0.5 * a, rel=1e-9)
     assert abs(g(root)) < 1e-10
+
+
+def test_bisect_root_ends_below_float_spacing():
+    # near 1e6 adjacent floats are 1.2e-10 apart, so a 1e-12 bracket is never
+    # reached; the bisection stops at adjacent floats around the root
+    with deadline(1.0):
+        root = bisect_root(lambda x: x - (1e6 + 0.3), 1e6, 1e6 + 1.0, tol=1e-12)
+    assert abs(root - (1e6 + 0.3)) <= math.ulp(1e6)
+
+
+def test_golden_section_ends_below_float_spacing():
+    with deadline(1.0):
+        x = golden_section_min(lambda x: (x - (1e6 + 0.3)) ** 2, 1e6, 1e6 + 1.0, 1e-12)
+    assert abs(x - (1e6 + 0.3)) <= math.ulp(1e6)
 
 
 def test_bisect_root_errors():

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _golden
-from _props import check_two_measure_derivative, draw_two_measure_instance
+from _props import check_two_measure_derivative, deadline, draw_two_measure_instance
 from bmsched import numerics, one_measure, two_measure
 from bmsched.kalman import ModelParams, parallel_sum
 from bmsched.two_measure import (
@@ -18,6 +21,7 @@ from bmsched.two_measure import (
     critical_duration_2_second,
     critical_spacing,
     cubic_coeffs,
+    descend_two,
     equilibrium_gap,
     optimal_gap,
     optimize_two,
@@ -221,17 +225,19 @@ def test_regime_label_and_solve_path_agree_at_first_critical_duration():
             t1_crit * (1.0 + 1e-12),
         )
         for T in horizons:
-            sol = optimize_two(1.0, T, v0, v1, v2, with_trace=True)
+            sol = optimize_two(1.0, T, v0, v1, v2)
             assert sol.regime is classify_regime(1.0, T, v0, v1, v2)
-            assert (sol.regime is TwoMeasureRegime.REGIME3) == (sol.trace is not None)
             if sol.regime is TwoMeasureRegime.REGIME2:
                 assert sol.t1_opt == 0.0
+            sol = descend_two(1.0, T, v0, v1, v2)
+            assert sol.regime is classify_regime(1.0, T, v0, v1, v2)
+            assert (sol.regime is TwoMeasureRegime.REGIME3) == (sol.trace is not None)
 
 
 def test_optimize_descent_start_matches_table():
     # the first line-search iterate of the descent, per worked example
     v0, v1, v2, T = ROW_B
-    sol = optimize_two(1.0, T, v0, v1, v2, with_trace=True)
+    sol = descend_two(1.0, T, v0, v1, v2)
     assert sol.trace is not None
     t1_first, t2_first = sol.trace.iterations[0][0], sol.trace.iterations[0][1]
     assert t2_first == pytest.approx(2.0, abs=1e-10)
@@ -413,7 +419,7 @@ def test_cross_check_disagreement_still_raises(monkeypatch):
     )
     v0, v1, v2, T = ROW_B
     with pytest.raises(RuntimeError, match="disagree"):
-        optimize_two(1.0, T, v0, v1, v2)
+        descend_two(1.0, T, v0, v1, v2)
 
 
 def test_descent_iteration_behavior():
@@ -424,7 +430,7 @@ def test_descent_iteration_behavior():
         if critical_duration_2_first(1.0, v0, v1, v2) >= 10.0:
             continue
         runs += 1
-        sol = optimize_two(1.0, 10.0, v0, v1, v2, with_trace=True)
+        sol = descend_two(1.0, 10.0, v0, v1, v2)
         trace = sol.trace
         assert trace is not None and trace.converged
         costs = [it[2] for it in trace.iterations]
@@ -440,7 +446,7 @@ def test_descent_iteration_behavior():
 
 def test_nonconvergence_raises():
     with pytest.raises(RuntimeError):
-        optimize_two(1.0, ROW_B[3], 1.0, 1.0, 1.0, options=DescentOptions(max_iterations=1))
+        descend_two(1.0, ROW_B[3], 1.0, 1.0, 1.0, options=DescentOptions(max_iterations=1))
 
 
 def test_domain_errors():
@@ -455,9 +461,102 @@ def test_domain_errors():
 
 
 def test_golden_solutions_are_bit_identical():
-    """optimize_two (with its trace), optimal_instant_1, cost_pair and
-    optimal_gap reproduce tests/golden/solutions.json bit for bit, errors
-    included."""
+    """optimize_two, descend_two (with its trace), optimal_instant_1,
+    cost_pair and optimal_gap reproduce tests/golden/solutions.json bit for
+    bit, errors included."""
     for name, records in _golden.load().items():
         for args, expected in records:
             assert _golden.solve(name, args) == expected, (name, args)
+
+
+def test_first_critical_duration_is_zero_without_prior_variance():
+    # with v0 = 0 every horizon is regime 3; the duration used to carry a
+    # rounding residue (1.39e-17 here) that labelled tiny horizons regime 2
+    assert critical_duration_2_first(24.15, 0.0, 1.107, 2.221) == 0.0
+    sol = optimize_two(24.15, 9.85e-18, 0.0, 1.107, 2.221)
+    assert sol.regime is TwoMeasureRegime.REGIME3
+    assert sol.T1_crit == 0.0
+
+
+def test_large_scale_solves_end():
+    # optimize_two(1, 1e6, 1e5, 1e5, 1e5) used to hang in the cross-check's
+    # bisection, whose absolute bracket width lies below the float spacing
+    unit = optimize_two(1.0, 1.0, 0.1, 0.1, 0.1)
+    with deadline(1.0):
+        sol = optimize_two(1.0, 1e6, 1e5, 1e5, 1e5)
+    assert abs(sol.t1_opt / 1e6 - unit.t1_opt) <= 1e-12
+    assert abs(sol.t2_opt / 1e6 - unit.t2_opt) <= 1e-12
+    with deadline(1.0):
+        try:
+            sol = descend_two(1.0, 1e6, 1e5, 1e5, 1e5)
+        except RuntimeError:
+            pass
+        else:
+            assert abs(sol.t1_opt / 1e6 - unit.t1_opt) <= 1e-9
+
+
+def _stationary_point(sigma2, T, v0, v1, v2, t1, t2):
+    """Stationary point of the two-measure cost at 40 digits, by Newton's
+    method from (t1, t2).  The gradient is written out from the model (growth
+    at rate sigma2, update v*vk/(v+vk)), not taken from bmsched."""
+    with mpmath.workdps(40):
+        s, T, v0, v1, v2 = (mpmath.mpf(x) for x in (sigma2, T, v0, v1, v2))
+
+        def gradient(x1, x2):
+            g = v0 + s * x1
+            post1, dpost1 = v1 * g / (v1 + g), s * v1**2 / (v1 + g) ** 2
+            h = post1 + s * (x2 - x1)
+            post2, dpost2 = v2 * h / (v2 + h), v2**2 / (v2 + h) ** 2
+            rest = T - x2
+            d1 = (s * x1 + v0 - s * (x2 - x1) + dpost1 * (x2 - x1) - post1
+                  + rest * dpost2 * (dpost1 - s))
+            d2 = s * (x2 - x1) + post1 - s * rest - post2 + rest * dpost2 * s
+            return d1, d2
+
+        root = mpmath.findroot(gradient, (mpmath.mpf(t1), mpmath.mpf(t2)))
+        return float(root[0]), float(root[1])
+
+
+def test_regime3_solutions_match_a_40_digit_stationary_point():
+    """Row B, and the 10 golden regime-3 instances on which optimize_two and
+    the descent differ most, lie within 1e-12*T of the stationary point."""
+    golden = _golden.load()
+    moved = []
+    for (args, new), (_, old) in zip(golden["optimize_two"], golden["descend_two"]):
+        if new.get("regime") != "3" or old.get("regime") != "3":
+            continue
+        move = max(abs(float.fromhex(new[k]) - float.fromhex(old[k])) for k in ("t1_opt", "t2_opt"))
+        moved.append((move / args[1], args))
+    moved.sort(reverse=True)
+    v0, v1, v2, T = ROW_B
+    cases = [(1.0, T, v0, v1, v2)] + [args for _, args in moved[:10]]
+    for sigma2, T, v0, v1, v2 in cases:
+        sol = optimize_two(sigma2, T, v0, v1, v2)
+        assert sol.regime is TwoMeasureRegime.REGIME3
+        b1, b2 = _stationary_point(sigma2, T, v0, v1, v2, sol.t1_opt, sol.t2_opt)
+        assert abs(sol.t1_opt - b1) <= 1e-12 * T, (sigma2, T, v0, v1, v2)
+        assert abs(sol.t2_opt - b2) <= 1e-12 * T, (sigma2, T, v0, v1, v2)
+
+
+_variance = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v0=st.floats(min_value=0.01, max_value=5.0),
+    v1=_variance,
+    v2=_variance,
+    stretch=st.floats(min_value=1.05, max_value=4.0),
+    time_decades=st.floats(min_value=-8.0, max_value=8.0),
+    variance_decades=st.floats(min_value=-8.0, max_value=8.0),
+)
+def test_regime3_instants_are_scale_invariant(v0, v1, v2, stretch, time_decades, variance_decades):
+    # T >= 1.05*T1_crit keeps clear of the regime-2/3 boundary, which
+    # critical_spacing locates with an absolute stop rule
+    T = stretch * critical_duration_2_first(1.0, v0, v1, v2)
+    unit = optimize_two(1.0, T, v0, v1, v2)
+    a, b = 10.0**time_decades, 10.0**variance_decades
+    sol = optimize_two(b / a, T * a, v0 * b, v1 * b, v2 * b)
+    assert unit.regime is sol.regime is TwoMeasureRegime.REGIME3
+    assert abs(sol.t1_opt / (T * a) - unit.t1_opt / T) <= 1e-12
+    assert abs(sol.t2_opt / (T * a) - unit.t2_opt / T) <= 1e-12

@@ -8,7 +8,8 @@ invocations produce byte-identical documents.
 Exit codes: 0 success, 2 argument error, 3 domain error, 4 oracle discrepancy
 beyond tolerance, 5 solver failure (the coordinate descent that ``optimize2``
 runs with ``--trace``, ``--tol`` or ``--max-iters`` did not converge, or it and
-the stationarity cross-check disagree).
+the stationarity cross-check disagree, or the regime-3 root of the default
+path used up its evaluation budget).
 """
 
 from __future__ import annotations
@@ -357,11 +358,18 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+# built on the first run() and reused: parsing leaves the parser unchanged, and
+# building it takes longer than most commands take to run
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str]) -> int:
     """Parse argv, execute the subcommand and emit its document."""
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 

@@ -20,6 +20,8 @@ __all__ = [
     "GridOracleResult",
     "golden_section_min",
     "bisect_root",
+    "brent_root",
+    "RootBudgetExceeded",
     "finite_diff",
     "grid_oracle_1",
     "grid_oracle_2",
@@ -124,6 +126,86 @@ def bisect_root(
         if trace is not None:
             trace.append((lo, hi))
     return 0.5 * (lo + hi)
+
+
+class RootBudgetExceeded(RuntimeError):
+    """:func:`brent_root` used up ``BRENT_MAX_EVALUATIONS`` without meeting
+    its tolerance."""
+
+
+# evaluations brent_root may spend inside its bracket: a simple root of a smooth
+# function takes about ten, a triple root on [0, 1] to 1e-13 about 110 (its
+# interpolation steps shrink the bracket slowly), and bisection there 44
+BRENT_MAX_EVALUATIONS = 200
+_EPS = math.ulp(1.0)
+
+
+def brent_root(g: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Root of a sign-changing function by Brent's method, to within tol.
+
+    Each step takes the inverse quadratic (or secant) interpolation of the
+    last three points when it lands well inside the bracket and shrinks it
+    fast enough, and a bisection step otherwise (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).  The returned point b
+    ends one side of a sign-change bracket no wider than tol + 4*eps*|b|, or
+    is an exact zero of g.  Beyond ``BRENT_MAX_EVALUATIONS`` evaluations
+    inside [lo, hi] it raises :class:`RootBudgetExceeded`.
+    """
+    if not lo < hi:
+        raise ValueError(f"brent_root needs lo < hi, got [{lo}, {hi}]")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    a, b = lo, hi
+    fa, fb = g(a), g(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    # signs, not the sign of fa*fb, which underflows to 0 for tiny values
+    if (fa > 0) == (fb > 0):
+        raise ValueError(f"brent_root needs a sign change, got g(lo)={fa}, g(hi)={fb}")
+    # b is the best point so far, c the other end of the bracket, a the
+    # previous b; d is the last step and e the one before it
+    c, fc = a, fa
+    d = e = b - a
+    evaluations = 0
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if evaluations == BRENT_MAX_EVALUATIONS:
+            raise RootBudgetExceeded(
+                f"brent_root did not reach tol={tol} within {BRENT_MAX_EVALUATIONS} "
+                f"evaluations (bracket [{min(b, c)}, {max(b, c)}])"
+            )
+        interpolated = False
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            interpolated = 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q))
+        if interpolated:
+            e, d = d, p / q
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = g(b)
+        evaluations += 1
 
 
 def finite_diff(f: Callable[[float], float], x: float, h: float) -> float:

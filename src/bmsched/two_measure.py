@@ -10,14 +10,15 @@ regime that comparison gives; regimes 1 and 2 are closed-form.
 
 In regime 3 the optimum solves a two-equation stationarity system.
 ``optimize_two`` solves it in dimensionless units (u = t/T, a_k =
-v_k/(sigma2*T)) as one bisection: for a fixed first instant the best second
-one is closed-form, so the optimal u1 is the single sign change of the t1
-slope along that curve.  ``descend_two`` keeps the paper's algorithm as the
-reference: coordinate descent with golden-section line searches, always
-cross-checked against the stationarity system (a bracket around the
-descent's answer certifies that the stationarity root lies within tolerance,
-and only when the certificate fails does a bisection on the stationarity gap
-locate the root).  It returns the descent's trace.
+v_k/(sigma2*T)) as one root: for a fixed first instant the best second one is
+closed-form, so the optimal u1 is the single sign change of the t1 slope
+along that curve, which Brent's method finds in about 8 slope evaluations.
+``descend_two`` keeps the paper's algorithm as the reference: coordinate
+descent with golden-section line searches, always cross-checked against the
+stationarity system (a bracket around the descent's answer certifies that
+the stationarity root lies within tolerance, and only when the certificate
+fails does a bisection on the stationarity gap locate the root).  It returns
+the descent's trace.
 
 The public functions validate their arguments.  The optimizers validate once
 on entry; their inner loops then call unchecked bodies (``_cost_pair``,
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .kalman import _check_domain, _check_finite, _check_positive
 from .kalman import _parallel_sum, parallel_sum
-from .numerics import bisect_root, golden_section_min
+from .numerics import bisect_root, brent_root, golden_section_min
 from .one_measure import _noise_ratio, _optimal_instant, critical_duration_1
 from .one_measure import duration_from_instant, optimal_instant_1
 
@@ -194,8 +195,11 @@ def _line_search_t1(
     width ~sqrt(eps*J), so the golden result wanders there and consecutive
     line searches would never agree to 1e-9.  Bisecting the analytic slope
     inside a narrow bracket around the golden result pins the minimizer
-    deterministically.
+    deterministically.  When t2 = 0 (a horizon so short that the regime-2
+    instant rounds to 0), 0 is the only point of the interval.
     """
+    if t2 == 0.0:
+        return 0.0
     x = golden_section_min(
         lambda u: _cost_pair(sigma2, T, v0, v1, v2, u, t2), 0.0, t2, _GOLDEN_TOL
     )
@@ -430,8 +434,8 @@ def _reduced_root(
     In units u = t/T and a_k = v_k/(sigma2*T) the problem has sigma2 = T = 1.
     For a fixed u the best second instant is u + optimal_gap(u), so by the
     envelope theorem the slope of the reduced cost is the t1 slope there; it
-    changes sign once on [0, 1] (it is a0 + 1 > 0 at u = 1), and its final
-    bisection bracket, 1e-13 wide, certifies the root.
+    changes sign once on [0, 1] (it is a0 + 1 > 0 at u = 1), and the final
+    bracket of Brent's method, 1e-13 plus a few ulps wide, certifies the root.
     """
     scale = sigma2 * T
     a0, a1, a2 = v0 / scale, v1 / scale, v2 / scale
@@ -440,7 +444,7 @@ def _reduced_root(
         gap = _optimal_gap(1.0, 1.0, a0, a1, a2, u)
         return _t1_slope_factor(1.0, 1.0, a0, a1, a2, u, u + gap)
 
-    u1 = 0.0 if slope(0.0) >= 0.0 else bisect_root(slope, 0.0, 1.0, tol=_ROOT_TOL)
+    u1 = 0.0 if slope(0.0) >= 0.0 else brent_root(slope, 0.0, 1.0, tol=_ROOT_TOL)
     return u1 * T, (u1 + _optimal_gap(1.0, 1.0, a0, a1, a2, u1)) * T, None
 
 
@@ -455,10 +459,13 @@ def optimize_two(
     t2 the one-measure optimum for the merged prior; both are closed-form.
     Regime 3 solves the problem in dimensionless units u = t/T, where it
     reduces to one root: the single sign change, on [0, 1], of the t1 slope
-    along the curve u -> (u, u + optimal_gap(u)), found by bisection to a
-    bracket of 1e-13.  Its answer is therefore the same fraction of T at every
-    time and variance scale, and the loop always ends.  The result carries no
-    trace; :func:`descend_two` runs the paper's coordinate descent instead.
+    along the curve u -> (u, u + optimal_gap(u)), found by Brent's method
+    (:func:`numerics.brent_root`) to a bracket of 1e-13 plus a few ulps.  Its
+    answer is therefore the same fraction of T at every time and variance
+    scale, and the loop always ends: past its evaluation budget the root
+    raises :class:`numerics.RootBudgetExceeded`, a ``RuntimeError``.  The
+    result carries no trace; :func:`descend_two` runs the paper's coordinate
+    descent instead.
 
     The arguments are validated once, here.
     """

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bmsched import cli, numerics
 from bmsched.cli import parse_real, render_csv, run
 
 
@@ -156,6 +157,63 @@ def test_exit_code_solver_failure(capsys):
     )
     assert status == 5
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_solver_budget_exhaustion_is_solver_failure(capsys, monkeypatch):
+    # the regime-3 root of optimize_two, out of evaluations, raises a
+    # RuntimeError subclass, which the CLI reports like any solver failure
+    monkeypatch.setattr(numerics, "BRENT_MAX_EVALUATIONS", 1)
+    status = run(
+        ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1", "--v1", "1",
+         "--v2", "1"]
+    )
+    assert status == 5
+    assert "brent_root did not reach" in capsys.readouterr().err
+
+
+OPTIMIZE2 = ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1", "--v1", "1",
+             "--v2", "1"]
+CONSECUTIVE_CALLS = [
+    # a flag given once must not stick to the parser
+    (OPTIMIZE2 + ["--trace"], OPTIMIZE2),
+    (OPTIMIZE2 + ["--tol", "1e-9"], OPTIMIZE2),
+    (["optimize2", "--sigma2", "1"], OPTIMIZE2),  # usage error, then a valid call
+]
+
+
+def _outcome(capsys, argv):
+    status = run(list(argv))
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+@pytest.mark.parametrize("first, second", CONSECUTIVE_CALLS)
+def test_consecutive_runs_match_fresh_runs(capsys, monkeypatch, first, second):
+    fresh = []
+    for argv in (first, second):
+        monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+        fresh.append(_outcome(capsys, argv))
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    reused = [_outcome(capsys, argv) for argv in (first, second)]
+    assert reused == fresh
+    assert reused[1][0] == 0 and "trace" not in json.loads(reused[1][1])
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    builds = 0
+    build = cli._build_parser
+
+    def counting():
+        nonlocal builds
+        builds += 1
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    for pair in CONSECUTIVE_CALLS:
+        for argv in pair:
+            _outcome(capsys, argv)
+    assert builds == 1
 
 
 def test_oracle_check_pass_and_fail(capsys):

@@ -495,6 +495,50 @@ def test_large_scale_solves_end():
             assert abs(sol.t1_opt / 1e6 - unit.t1_opt) <= 1e-9
 
 
+def test_regime3_root_takes_few_evaluations(monkeypatch):
+    """Brent's method finds the reduced regime-3 root in about 8 slope
+    evaluations, endpoints included (bisection to the same bracket takes
+    46), on the golden regime-3 instances."""
+    counts = []
+
+    def counting(g, lo, hi, tol):
+        calls = 0
+
+        def counted(u):
+            nonlocal calls
+            calls += 1
+            return g(u)
+
+        try:
+            return numerics.brent_root(counted, lo, hi, tol)
+        finally:
+            counts.append(calls)
+
+    monkeypatch.setattr(two_measure, "brent_root", counting)
+    for args, expected in _golden.load()["optimize_two"]:
+        if expected.get("regime") == "3":
+            optimize_two(*args)
+    assert len(counts) >= 100
+    assert sum(counts) / len(counts) <= 8.0
+    assert max(counts) <= 12
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # v0 = 0 and a horizon so short that the regime-2 instant, the
+        # descent's start, rounds to 0
+        (0.02270379470214179, 1.1952541310982844e-14, 0.0, 8.243413924809195, 4.6223331865292545),
+        (0.08764500068280252, 8.199630497495901e-15, 0.0, 8.756076974741031, 6.441609743641338),
+    ],
+)
+def test_descent_at_tiny_horizons_without_prior_variance(args):
+    # the t1 line search used to get the empty bracket [0, 0] and raise
+    sol = descend_two(*args)
+    assert sol.regime is TwoMeasureRegime.REGIME3
+    assert 0.0 <= sol.t1_opt <= sol.t2_opt <= args[1]
+
+
 def _stationary_point(sigma2, T, v0, v1, v2, t1, t2):
     """Stationary point of the two-measure cost at 40 digits, by Newton's
     method from (t1, t2).  The gradient is written out from the model (growth

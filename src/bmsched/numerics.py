@@ -2,7 +2,12 @@
 
 The oracles evaluate the integral cost directly from the variance recursion on
 a dense lattice, independently of any closed-form optimizer, so they can serve
-as ground truth in tests.
+as ground truth in tests.  The two-instant oracle fills and scans only the
+triangle t1 <= t2 of its m x m cost matrix, in row blocks of about
+``_BLOCK_CELLS`` cells that stay in cache, so its memory is about the matrix
+(8m^2 bytes) plus one block.  Both oracles refine their lattice winner on
+Python floats, through the same cost expressions as the lattice, so a
+refined cost rounds exactly as a lattice cell would.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kalman import ModelParams
+from .kalman import ModelParams, _parallel_sum
 
 __all__ = [
     "GOLDEN_RATIO_CONJUGATE",
@@ -106,12 +111,13 @@ def bisect_root(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     glo, ghi = g(lo), g(hi)
-    if glo * ghi > 0:
-        raise ValueError(f"bisect_root needs a sign change, got g(lo)={glo}, g(hi)={ghi}")
     if glo == 0.0:
         return lo
     if ghi == 0.0:
         return hi
+    # signs, not the sign of glo*ghi, which underflows to 0 for tiny values
+    if (glo > 0) == (ghi > 0):
+        raise ValueError(f"bisect_root needs a sign change, got g(lo)={glo}, g(hi)={ghi}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -119,7 +125,7 @@ def bisect_root(
         gm = g(mid)
         if gm == 0.0:
             return mid
-        if glo * gm < 0:
+        if (glo > 0) != (gm > 0):
             hi, ghi = mid, gm
         else:
             lo, glo = mid, gm
@@ -215,6 +221,12 @@ def finite_diff(f: Callable[[float], float], x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+# cells per block of the two-instant fill and scan: 512 kB per float64
+# temporary, which stays in cache; on the benchmark's oracle pool a call takes
+# about 21 ms at 2**15 or 2**16 cells, 27 ms at 2**18 and 40 ms at 2**20
+_BLOCK_CELLS = 1 << 16
+
+
 def _lattice(T: float, step: float) -> np.ndarray:
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -222,9 +234,11 @@ def _lattice(T: float, step: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
-def _post_variance(v_sensor: float, pre: np.ndarray) -> np.ndarray:
-    """Vectorized parallel sum of a scalar sensor variance and pre-measurement
-    variances (handles the 0 and inf conventions)."""
+def _post_variance(v_sensor: float, pre):
+    """Parallel sum of a scalar sensor variance and pre-measurement variances,
+    an array or one float (handles the 0 and inf conventions)."""
+    if isinstance(pre, float):
+        return _parallel_sum(v_sensor, pre)
     if v_sensor == 0.0:
         return np.zeros_like(pre)
     if math.isinf(v_sensor):
@@ -234,9 +248,7 @@ def _post_variance(v_sensor: float, pre: np.ndarray) -> np.ndarray:
     return np.where(pre == 0.0, 0.0, out)
 
 
-def _cost_one_lattice(
-    sigma2: float, T: float, v0: float, v1: float, t1: np.ndarray
-) -> np.ndarray:
+def _cost_one_lattice(sigma2: float, T: float, v0: float, v1: float, t1):
     post = _post_variance(v1, v0 + sigma2 * t1)
     return (
         0.5 * sigma2 * t1 * t1
@@ -247,13 +259,14 @@ def _cost_one_lattice(
 
 
 def _cost_two_lattice(sigma2, T, v0, v1, v2, t1, t2):
+    gap = t2 - t1
     g1 = _post_variance(v1, v0 + sigma2 * t1)
-    g2 = _post_variance(v2, g1 + sigma2 * (t2 - t1))
+    g2 = _post_variance(v2, g1 + sigma2 * gap)
     return (
         0.5 * sigma2 * t1 * t1
         + v0 * t1
-        + 0.5 * sigma2 * (t2 - t1) ** 2
-        + g1 * (t2 - t1)
+        + 0.5 * sigma2 * gap ** 2
+        + g1 * gap
         + 0.5 * sigma2 * (T - t2) ** 2
         + g2 * (T - t2)
     )
@@ -272,33 +285,52 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     refined = False
     if hi > lo:
         cand = golden_section_min(
-            lambda x: _cost_one_lattice(s, T, v0, sensor, np.asarray(x)),
-            lo,
-            hi,
-            tol=1e-10,
+            lambda x: _cost_one_lattice(s, T, v0, sensor, x), lo, hi, tol=1e-10
         )
-        cand_J = float(_cost_one_lattice(s, T, v0, sensor, np.asarray(cand)))
+        cand_J = _cost_one_lattice(s, T, v0, sensor, cand)
         # keep the lattice point on ties so boundary optima stay exact
         if cand_J < best_J:
-            best_t, best_J = float(cand), cand_J
+            best_t, best_J = cand, cand_J
             refined = True
     return GridOracleResult(
         argmin=(best_t,), min_value=best_J, grid_step=step, refined=refined
     )
 
 
-def _cwlm_nodes(J: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Boolean mask of lattice points not improvable by one axis step.
+def _blocks(m: int):
+    """Row blocks [i0, i1) of the triangle j >= i of an m x m lattice, each
+    holding about ``_BLOCK_CELLS`` cells of columns i0 and above."""
+    i0 = 0
+    while i0 < m:
+        i1 = min(m, i0 + max(1, _BLOCK_CELLS // (m - i0)))
+        yield i0, i1
+        i0 = i1
+
+
+def _cwlm_nodes(J: np.ndarray, tol: float = 1e-12) -> list[tuple[int, int]]:
+    """Lattice points not improvable by one axis step, in row-major order.
 
     Comparisons are against the 4 axis neighbors that lie inside the domain
-    (J is inf outside); ties within tol count as no improvement.
+    (J is inf outside); ties within tol count as no improvement.  Only the
+    triangle j >= i holds finite values, so the scan visits it in the fill's
+    row blocks: rows [i0, i1) and columns i0 and above, read with a one-cell
+    rim of neighbors, so each block's temporaries stay in cache.
     """
-    ok = np.isfinite(J)
-    ok[:-1, :] &= J[:-1, :] <= J[1:, :] + tol
-    ok[1:, :] &= J[1:, :] <= J[:-1, :] + tol
-    ok[:, :-1] &= J[:, :-1] <= J[:, 1:] + tol
-    ok[:, 1:] &= J[:, 1:] <= J[:, :-1] + tol
-    return ok
+    m = J.shape[0]
+    nodes = []
+    for i0, i1 in _blocks(m):
+        rim = max(i0 - 1, 0)
+        W = J[rim : min(i1 + 1, m), rim:]
+        Wt = W + tol
+        ok = np.isfinite(W)
+        ok[:-1, :] &= W[:-1, :] <= Wt[1:, :]
+        ok[1:, :] &= W[1:, :] <= Wt[:-1, :]
+        ok[:, :-1] &= W[:, :-1] <= Wt[:, 1:]
+        ok[:, 1:] &= W[:, 1:] <= Wt[:, :-1]
+        inner = ok[i0 - rim : i1 - rim, i0 - rim :]
+        if inner.any():
+            nodes.extend((int(a) + i0, int(b) + i0) for a, b in np.argwhere(inner))
+    return nodes
 
 
 def _merge_touching(nodes: list[tuple[int, int]], J: np.ndarray) -> list[tuple[int, int]]:
@@ -335,6 +367,11 @@ def grid_oracle_2(
     The lattice contains the boundary lines t1 = 0, t2 = T and the diagonal
     exactly.  Also reports the lattice points that are coordinatewise
     unimprovable (see :class:`GridOracleResult`).
+
+    The cost matrix J is m x m and inf below the diagonal (t2 < t1); only
+    the triangle is filled and scanned, in row blocks of about
+    ``_BLOCK_CELLS`` cells, so memory is about J (8m^2 bytes) plus one
+    block's temporaries.
     """
     if len(sensors) != 2:
         raise ValueError(f"sensors must have exactly 2 entries, got {len(sensors)}")
@@ -342,26 +379,24 @@ def grid_oracle_2(
     v1, v2 = float(sensors[0]), float(sensors[1])
     t = _lattice(T, step)
     m = len(t)
-    J = np.empty((m, m))
-    block = max(1, (1 << 20) // m)  # bound temporaries to a few MB per block
-    for i0 in range(0, m, block):
-        i1 = min(m, i0 + block)
-        J[i0:i1] = _cost_two_lattice(s, T, v0, v1, v2, t[i0:i1, None], t[None, :])
-    J[t[None, :] < t[:, None]] = np.inf
+    J = np.full((m, m), np.inf)
+    for i0, i1 in _blocks(m):
+        rows = t[i0:i1, None]
+        Jb = _cost_two_lattice(s, T, v0, v1, v2, rows, t[None, i0:])
+        corner = Jb[:, : i1 - i0]
+        corner[t[None, i0:i1] < rows] = np.inf
+        J[i0:i1, i0:] = Jb
 
     k = int(np.argmin(J))
     i, j = divmod(k, m)
     best = (float(t[i]), float(t[j]))
     best_J = float(J[i, j])
 
-    nodes = [tuple(ix) for ix in np.argwhere(_cwlm_nodes(J))]
-    reps = _merge_touching(nodes, J)
+    reps = _merge_touching(_cwlm_nodes(J), J)
     cwlms = tuple((float(t[a]), float(t[b])) for a, b in reps)
 
     def J_scalar(x1, x2):
-        return float(
-            _cost_two_lattice(s, T, v0, v1, v2, np.asarray(x1), np.asarray(x2))
-        )
+        return _cost_two_lattice(s, T, v0, v1, v2, x1, x2)
 
     # coordinatewise golden refinement around the winning node; each move is
     # kept only if it strictly improves, so exact boundary optima stay put

@@ -444,7 +444,11 @@ def _reduced_root(
         gap = _optimal_gap(1.0, 1.0, a0, a1, a2, u)
         return _t1_slope_factor(1.0, 1.0, a0, a1, a2, u, u + gap)
 
-    u1 = 0.0 if slope(0.0) >= 0.0 else brent_root(slope, 0.0, 1.0, tol=_ROOT_TOL)
+    s0 = slope(0.0)
+    if s0 >= 0.0:
+        u1 = 0.0
+    else:  # Brent's g(lo) is the slope at 0 already in hand
+        u1 = brent_root(lambda u: s0 if u == 0.0 else slope(u), 0.0, 1.0, tol=_ROOT_TOL)
     return u1 * T, (u1 + _optimal_gap(1.0, 1.0, a0, a1, a2, u1)) * T, None
 
 

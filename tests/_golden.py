@@ -4,6 +4,12 @@ Re-record, from the repository root, with
 
     PYTHONPATH=src python3 tests/_golden.py
 
+The grid oracles' records (argmin, minimum, whether refinement moved it, and
+the coordinatewise lattice minima) are kept apart, in
+tests/golden/oracles.json.  Their inputs are a fixed list, not a draw: every
+horizon regime, zero and ``inf`` sensors, v0 = 0, and lattice steps 4e-3 and
+2e-3.
+
 The instances are seeded draws over all three two-measure regimes, at time
 and variance scales 10^U(-2, 2) and with zero variances mixed in.  They were
 drawn once, when the file was first recorded; a re-recording solves the
@@ -23,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from bmsched.kalman import ModelParams
+from bmsched.numerics import grid_oracle_1, grid_oracle_2
 from bmsched.one_measure import optimal_instant_1
 from bmsched.two_measure import (
     cost_pair,
@@ -34,6 +42,7 @@ from bmsched.two_measure import (
 )
 
 PATH = Path(__file__).parent / "golden" / "solutions.json"
+ORACLE_PATH = Path(__file__).parent / "golden" / "oracles.json"
 SEED = 20261018
 PER_REGIME = 100
 
@@ -89,10 +98,27 @@ SOLVERS = {
 }
 
 
+def _oracle(res) -> dict:
+    cwlms = res.lattice_cwlms
+    return {
+        "argmin": [_hex(x) for x in res.argmin],
+        "min_value": _hex(res.min_value),
+        "refined": res.refined,
+        "lattice_cwlms": None if cwlms is None else [[_hex(a), _hex(b)] for a, b in cwlms],
+    }
+
+
+# args are (sigma2, T, v0, v1, step) and (sigma2, T, v0, v1, v2, step)
+ORACLES = {
+    "grid_oracle_1": lambda a: _oracle(grid_oracle_1(ModelParams(*a[:3]), a[3], a[4])),
+    "grid_oracle_2": lambda a: _oracle(grid_oracle_2(ModelParams(*a[:3]), a[3:5], a[5])),
+}
+
+
 def solve(name: str, args) -> dict:
     """Results of one stored call; an error is stored as its type and message."""
     try:
-        return SOLVERS[name](args)
+        return {**SOLVERS, **ORACLES}[name](args)
     except (ValueError, RuntimeError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -138,6 +164,42 @@ def inputs() -> dict:
     return doc
 
 
+def oracle_inputs() -> dict:
+    """The oracles' inputs: each sensor set at horizons in every regime it has."""
+    inf = float("inf")
+    doc = {name: [] for name in ORACLES}
+    steps = (4e-3, 2e-3)
+    for sigma2, v0, v1, v2 in [
+        (1.3, 1.0, 1.0, 2.0),
+        (0.7, 0.6, 0.15, 0.15),
+        (1.0, 0.8, 0.0, 0.4),
+        (1.0, 0.8, 0.4, 0.0),
+        (0.8, 0.0, 0.5, 1.5),
+        (1.0, 0.0, 0.0, 0.0),
+    ]:
+        t2c = critical_duration_2_second(sigma2, v0, v1, v2)
+        t1c = critical_duration_2_first(sigma2, v0, v1, v2)
+        horizons = [T for T in (0.5 * t2c, 0.5 * (t2c + t1c), 1.5 * t1c) if T > 0.0]
+        if t1c == 0.0:
+            horizons.append(1.2)
+        for k, T in enumerate(horizons):
+            doc["grid_oracle_2"].append((sigma2, T, v0, v1, v2, steps[k % 2]))
+    for k, (sigma2, v0, v1, v2) in enumerate([
+        (1.0, 1.0, inf, 1.0),
+        (1.0, 1.0, 1.0, inf),
+        (1.0, 0.5, inf, inf),
+        (1.0, 0.0, 0.0, inf),
+    ]):
+        for T in (0.3, 1.2):
+            doc["grid_oracle_2"].append((sigma2, T, v0, v1, v2, steps[k % 2]))
+    for k, (sigma2, v0, v1) in enumerate([
+        (1.3, 1.0, 1.0), (0.7, 2.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, inf),
+    ]):
+        for T in (0.1, 0.7, 3.0):
+            doc["grid_oracle_1"].append((sigma2, T, v0, v1, steps[k % 2]))
+    return doc
+
+
 def _dumps(doc: dict) -> str:
     """JSON with one record per line, so that a re-recording diffs by record."""
     sections = []
@@ -147,9 +209,9 @@ def _dumps(doc: dict) -> str:
     return "{\n" + ",\n".join(sections) + "\n}\n"
 
 
-def load() -> dict:
+def load(path: Path = PATH) -> dict:
     """Stored records: solver name -> list of (args, expected results)."""
-    doc = json.loads(PATH.read_text())
+    doc = json.loads(path.read_text())
     return {
         name: [
             (tuple(float.fromhex(x) for x in r["args"]),
@@ -163,13 +225,14 @@ def load() -> dict:
 if __name__ == "__main__":
     # A re-recording solves the stored inputs again: drawing them anew would
     # let a change to the critical durations that _draw calls change them.
-    if PATH.exists():
-        arg_lists = {name: [args for args, _ in records] for name, records in load().items()}
-    else:
-        arg_lists = inputs()
-    recorded = {
-        name: [{"args": [_hex(x) for x in args], **solve(name, args)} for args in arg_list]
-        for name, arg_list in arg_lists.items()
-    }
-    PATH.write_text(_dumps(recorded))
-    print(f"wrote {PATH}")
+    for path, first_inputs in ((PATH, inputs), (ORACLE_PATH, oracle_inputs)):
+        if path.exists():
+            arg_lists = {name: [args for args, _ in records] for name, records in load(path).items()}
+        else:
+            arg_lists = first_inputs()
+        recorded = {
+            name: [{"args": [_hex(x) for x in args], **solve(name, args)} for args in arg_list]
+            for name, arg_list in arg_lists.items()
+        }
+        path.write_text(_dumps(recorded))
+        print(f"wrote {path}")

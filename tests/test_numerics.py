@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+import _golden
 from _props import deadline
 from bmsched import numerics
 from bmsched.kalman import ModelParams
@@ -114,6 +116,14 @@ def test_bisect_root_errors():
         bisect_root(lambda x: x + 2.0, 0.0, 1.0, 1e-10)
     with pytest.raises(ValueError):
         bisect_root(lambda x: x, 1.0, 0.0, 1e-10)
+
+
+def test_bisect_root_compares_signs_not_products():
+    # g(lo)*g(hi) and g(lo)*g(mid) underflow to 0 when both values are tiny
+    with pytest.raises(ValueError):
+        bisect_root(lambda x: 1e-200 * (x + 1.0), 0.0, 1.0, 1e-10)
+    root = bisect_root(lambda x: 1e-200 * (x - 0.3), 0.0, 1.0, 1e-12)
+    assert abs(root - 0.3) <= 1e-12
 
 
 def test_brent_root_linear():
@@ -246,6 +256,27 @@ def test_grid_oracle_2_refinement_never_increases():
     oracle = grid_oracle_2(params, (1.0, 1.0), step=1e-2)
     lattice_best = cost_pair(1.0, 1.5, 1.0, 1.0, 1.0, *oracle.argmin)
     assert oracle.min_value <= lattice_best + 1e-15
+
+
+def test_golden_oracles_are_bit_identical():
+    """grid_oracle_1 and grid_oracle_2 reproduce tests/golden/oracles.json
+    bit for bit: argmin, minimum, refinement flag and lattice minima."""
+    for name, records in _golden.load(_golden.ORACLE_PATH).items():
+        for args, expected in records:
+            assert _golden.solve(name, args) == expected, (name, args)
+
+
+def test_grid_oracle_2_memory_is_about_one_cost_matrix():
+    # the m x m cost matrix takes 8m^2 bytes; the fill and the scan for
+    # lattice minima work in blocks, so they add little on top of it
+    m = 2001
+    tracemalloc.start()
+    try:
+        grid_oracle_2(ModelParams(1.3, 4.0, 1.0), (1.0, 2.0), 2e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * m * m
 
 
 def test_grid_oracle_input_validation():

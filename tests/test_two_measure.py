@@ -523,6 +523,22 @@ def test_regime3_root_takes_few_evaluations(monkeypatch):
     assert max(counts) <= 12
 
 
+def test_regime3_root_evaluates_the_slope_at_zero_once(monkeypatch):
+    # the guard's slope at u = 0 is also Brent's g(lo); it is computed once
+    at_zero = []
+    slope_factor = two_measure._t1_slope_factor
+
+    def recording(*args):
+        if args[5] == 0.0:
+            at_zero.append(args)
+        return slope_factor(*args)
+
+    monkeypatch.setattr(two_measure, "_t1_slope_factor", recording)
+    sol = optimize_two(1.0, 1.0, 0.0, 1.0, 1.0)
+    assert sol.regime is TwoMeasureRegime.REGIME3
+    assert len(at_zero) == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -187,6 +187,11 @@ def duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> flo
     duration)."""
     _check_positive(sigma2=sigma2)
     _check_domain(t1=t1, v0=v0, v1=v1)
+    return _duration_from_instant(sigma2, t1, v0, v1)
+
+
+def _duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> float:
+    """:func:`duration_from_instant` for operands it would accept."""
     if math.isinf(v1):
         # limit of the rational form below
         return 2.0 * t1 + (v0 - sigma2 * t1) / (2.0 * sigma2)

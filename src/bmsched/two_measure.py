@@ -4,7 +4,9 @@ Three regimes exist depending on the horizon length T.  For short horizons
 both measurements happen at 0; past a first critical duration only the second
 one leaves 0; past a second critical duration both are interior.  The
 regime-2/3 boundary is governed by a cubic in sigma2*t2 whose coefficient sign
-pattern (one sign change) guarantees a unique positive root.  The optimizers
+pattern (one sign change) guarantees a unique positive root.  That root is
+taken in closed form (trigonometric or Cardano form, then one Newton step), in
+units of v0, so both critical durations are explicit.  The optimizers
 compare T with the two critical durations once and take the path of the
 regime that comparison gives; regimes 1 and 2 are closed-form.
 
@@ -14,16 +16,16 @@ v_k/(sigma2*T)) as one root: for a fixed first instant the best second one is
 closed-form, so the optimal u1 is the single sign change of the t1 slope
 along that curve, which Brent's method finds in about 8 slope evaluations.
 ``descend_two`` keeps the paper's algorithm as the reference: coordinate
-descent with golden-section line searches, always cross-checked against the
-stationarity system (a bracket around the descent's answer certifies that
-the stationarity root lies within tolerance, and only when the certificate
-fails does a bisection on the stationarity gap locate the root).  It returns
-the descent's trace.
+descent whose t1 line searches root the t1 slope by Brent's method, always
+cross-checked against the stationarity system (a bracket around the
+descent's answer certifies that the stationarity root lies within
+tolerance, and only when the certificate fails does a bisection on the
+stationarity gap locate the root).  It returns the descent's trace.
 
 The public functions validate their arguments.  The optimizers validate once
 on entry; their inner loops then call unchecked bodies (``_cost_pair``,
-``_optimal_gap`` and the one-measure and parallel-sum bodies they use) with
-the same arithmetic, so they return the same bits.
+``_optimal_gap``, ``_critical_spacing`` and the one-measure and parallel-sum
+bodies they use) with the same arithmetic, so they return the same bits.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass, field
 
 from .kalman import _check_domain, _check_finite, _check_positive
 from .kalman import _parallel_sum, parallel_sum
-from .numerics import bisect_root, brent_root, golden_section_min
-from .one_measure import _noise_ratio, _optimal_instant, critical_duration_1
-from .one_measure import duration_from_instant, optimal_instant_1
+from .numerics import bisect_root, brent_root
+from .one_measure import _critical_duration_1, _duration_from_instant, _noise_ratio
+from .one_measure import _optimal_instant, optimal_instant_1
 
 __all__ = [
     "TwoMeasureRegime",
@@ -80,8 +82,6 @@ class CubicCoeffs:
         return ((self.a * x + self.b) * x + self.c) * x + self.d
 
 
-# bracket width of the golden-section t1 line search
-_GOLDEN_TOL = 1e-10
 # bracket width of the stationarity bisection
 _STATIONARITY_TOL = 1e-12
 # largest allowed distance between the descent and the stationarity solution
@@ -188,69 +188,111 @@ def _t1_slope_factor(
 def _line_search_t1(
     sigma2: float, T: float, v0: float, v1: float, v2: float, t2: float
 ) -> float:
-    """Minimize t1 -> cost over [0, t2]: golden-section search, then a
-    derivative-sign polish.
+    """Minimize t1 -> cost over [0, t2] as the sign change of the t1 slope.
 
-    Near the minimum the cost is flat to float precision over a region of
-    width ~sqrt(eps*J), so the golden result wanders there and consecutive
-    line searches would never agree to 1e-9.  Bisecting the analytic slope
-    inside a narrow bracket around the golden result pins the minimizer
-    deterministically.  When t2 = 0 (a horizon so short that the regime-2
-    instant rounds to 0), 0 is the only point of the interval.
+    The cost is quasi-convex in t1 (its slope, a nonnegative prefactor times
+    :func:`_t1_slope_factor`, changes sign at most once, from - to +), so the
+    minimizer is 0 when the slope at 0 is already >= 0, t2 when the slope at
+    t2 is still <= 0, and otherwise the root of the slope factor, found by
+    Brent's method to a bracket of 1e-13*max(1, t2).  The root is found
+    deterministically, where a search on the cost itself would wander over
+    the region of width ~sqrt(eps*J) in which the cost is flat to float
+    precision.  When t2 = 0 (a horizon so short that the regime-2 instant
+    rounds to 0), 0 is the only point of the interval.
     """
     if t2 == 0.0:
         return 0.0
-    x = golden_section_min(
-        lambda u: _cost_pair(sigma2, T, v0, v1, v2, u, t2), 0.0, t2, _GOLDEN_TOL
-    )
-    width = 1e-6 * max(1.0, t2)
-    lo, hi = max(0.0, x - width), min(t2, x + width)
-    slope_lo = _t1_slope_factor(sigma2, T, v0, v1, v2, lo, t2)
-    if slope_lo >= 0.0:
-        return lo
-    slope_hi = _t1_slope_factor(sigma2, T, v0, v1, v2, hi, t2)
-    if slope_hi <= 0.0:
-        return hi
-    return bisect_root(
-        lambda u: _t1_slope_factor(sigma2, T, v0, v1, v2, u, t2),
-        lo,
-        hi,
-        tol=1e-13 * max(1.0, hi),
+
+    def slope(u: float) -> float:
+        return _t1_slope_factor(sigma2, T, v0, v1, v2, u, t2)
+
+    s_lo = slope(0.0)
+    if s_lo >= 0.0:
+        return 0.0
+    s_hi = slope(t2)
+    if s_hi <= 0.0:
+        return t2
+    # Brent's g(lo) and g(hi) are the slopes already in hand
+    return brent_root(
+        lambda u: s_lo if u == 0.0 else s_hi if u == t2 else slope(u),
+        0.0,
+        t2,
+        tol=1e-13 * max(1.0, t2),
     )
 
 
 def cubic_coeffs(v0: float, v1: float, v2: float) -> CubicCoeffs:
     """Boundary cubic coefficients, exact polynomials in the variances."""
     _check_finite(v0=v0, v1=v1, v2=v2)
+    return CubicCoeffs(*_cubic_coeffs(v0, v1, v2))
+
+
+def _cubic_coeffs(v0: float, v1: float, v2: float) -> tuple[float, float, float, float]:
     a = -((v0 + v1) ** 2) * (v0 + 2.0 * v1)
     b = (v0 + v1) * (v0**3 - 3.0 * ((v0 + v1) * (v0 + 2.0 * v1) * v2 + v0 * v1 * v1))
     c = v2 * b + v0 * v0 * (2.0 * v0 + 3.0 * v1) * (v0 * v1 + v0 * v2 + v1 * v2)
     d = v0 * v0 * (v1 + v2) * (v0 + v1) * (v0 * v1 + 2.0 * v0 * v2 + 3.0 * v1 * v2)
-    return CubicCoeffs(a, b, c, d)
+    return a, b, c, d
+
+
+# cap on v1/v0 and v2/v0 in critical_spacing: it keeps every intermediate of
+# the closed form finite, and the root y depends smoothly on v0/v1 and v0/v2
+# near 0, so the cap moves y by about 1/_RATIO_CAP (absolute)
+_RATIO_CAP = 1e30
+
+
+def _largest_real_root(p2: float, p1: float, p0: float) -> float:
+    """Largest real root of y^3 + p2*y^2 + p1*y + p0: the trigonometric form
+    when all three roots are real, Cardano's form (with the sum taken
+    without cancellation) when two are complex."""
+    shift = p2 / 3.0
+    q = (p1 - p2 * shift) / 3.0  # of the depressed cubic z^3 + 3q*z + 2h
+    h = 0.5 * ((2.0 * shift * shift - p1) * shift + p0)
+    disc = h * h + q * q * q
+    if disc < 0.0:  # three real roots, so q < 0
+        m = math.sqrt(-q)
+        cos3 = max(-1.0, min(1.0, -h / (m * m * m)))
+        z = 2.0 * m * math.cos(math.acos(cos3) / 3.0)
+    else:
+        w = -math.copysign(abs(h) + math.sqrt(disc), h)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        z = u - q / u
+    return z - shift
 
 
 def critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """Largest second-measure instant t2 for which (0, t2) can be optimal.
 
-    sigma2 * t2 is the unique positive root of the boundary cubic, bracketed
-    by a coefficient bound and isolated by bisection (the cubic is positive
-    before the root and negative after, so the bracket is unconditionally
-    safe).  Zero when v0 = 0.
+    sigma2 * t2 / v0 is the unique positive root y of the boundary cubic
+    written in y, A*y^3 + B*y^2 + C*y + D with coefficients that depend only
+    on v1/v0 and v2/v0; A < 0 <= D.  So y is the largest real root of that
+    cubic, and 1/y that of its reverse in 1/y.  The closed form
+    (trigonometric or Cardano form) gives the largest real root to a few
+    ulps of the largest root magnitude, so y is taken from the cubic when it
+    exceeds g = (D/-A)^(1/3), the geometric mean of the root magnitudes (the
+    cubic is positive at g), and from the reverse otherwise; one Newton step
+    on the cubic then polishes it.  No loop runs, and y is within about
+    1e-15 (relative) of a 40-digit root for ratios up to about 1e25.  Zero
+    when v0 = 0.
     """
     _check_positive(sigma2=sigma2)
     _check_finite(v0=v0, v1=v1, v2=v2)
+    return _critical_spacing(sigma2, v0, v1, v2)
+
+
+def _critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
+    """:func:`critical_spacing` for validated operands."""
     if v0 == 0.0:
         return 0.0
-    cub = cubic_coeffs(v0, v1, v2)
-    hi = 1.0 + (abs(cub.b) + abs(cub.c) + abs(cub.d)) / abs(cub.a)
-    lo = 0.0
-    while hi - lo > 1e-12 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if cub.evaluate(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) / sigma2
+    r1, r2 = min(v1 / v0, _RATIO_CAP), min(v2 / v0, _RATIO_CAP)
+    A, B, C, D = _cubic_coeffs(1.0, r1, r2)
+    g = (D / -A) ** (1.0 / 3.0)
+    if ((A * g + B) * g + C) * g + D > 0.0 or D == 0.0:
+        y = _largest_real_root(B / A, C / A, D / A)
+    else:
+        y = 1.0 / _largest_real_root(C / D, B / D, A / D)
+    y -= (((A * y + B) * y + C) * y + D) / ((3.0 * A * y + 2.0 * B) * y + C)
+    return v0 * y / sigma2
 
 
 def critical_duration_2_second(sigma2: float, v0: float, v1: float, v2: float) -> float:
@@ -258,19 +300,23 @@ def critical_duration_2_second(sigma2: float, v0: float, v1: float, v2: float) -
     one-measure critical duration with prior v0 || v1 and sensor v2."""
     _check_positive(sigma2=sigma2)
     _check_finite(v0=v0, v1=v1, v2=v2)
-    return critical_duration_1(sigma2, parallel_sum(v0, v1), v2)
+    return _critical_duration_1(sigma2, _parallel_sum(v0, v1), v2)
 
 
 def critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """Largest horizon for which the first measurement stays at 0."""
     _check_positive(sigma2=sigma2)
     _check_finite(v0=v0, v1=v1, v2=v2)
+    return _critical_duration_2_first(sigma2, v0, v1, v2)
+
+
+def _critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) -> float:
     if v0 == 0.0:
         # every horizon is regime 3; the formula below would leave a rounding
         # residue of either sign
         return 0.0
-    spacing = critical_spacing(sigma2, v0, v1, v2)
-    return duration_from_instant(sigma2, spacing, parallel_sum(v0, v1), v2)
+    spacing = _critical_spacing(sigma2, v0, v1, v2)
+    return _duration_from_instant(sigma2, spacing, _parallel_sum(v0, v1), v2)
 
 
 def _regime(T: float, t2_crit: float, t1_crit: float) -> TwoMeasureRegime:
@@ -359,9 +405,11 @@ def _cross_check_certified(
     bisection would have passed the cross-check.
     """
     lo, hi = max(0.0, t1 - _CERTIFICATE_RADIUS), min(T, t1 + _CERTIFICATE_RADIUS)
-    # equilibrium_gap is a bisection that stops at a bracket of 1e-12*max(x, 1)
-    # in x = sigma2*t2, which is 1e-12*max(t2, 1/sigma2) in time; closer to 0
-    # than ten times that, a sign of m or a distance is not trusted
+    # m is the difference of two closed forms (the one-measure optimum and the
+    # boundary cubic's root), each exact up to rounding; closer to 0 than the
+    # slack, a sign of m or a distance is not trusted.  The slack is the one
+    # the certificate had when equilibrium_gap was a bisection (ten times its
+    # bracket of 1e-12*max(x, 1) in x = sigma2*t2), far above that rounding
     slack = 1e-11 * max(t2, 1.0 / sigma2)
     eq_hi = equilibrium_gap(sigma2, v0, v1, v2, hi)
     if not _optimal_gap(sigma2, T, v0, v1, v2, hi) - eq_hi < -slack:
@@ -405,8 +453,8 @@ def _solve(sigma2, T, v0, v1, v2, interior) -> TwoMeasureSolution:
     2, and ``interior(sigma2, T, v0, v1, v2) -> (t1, t2, trace)`` in regime 3."""
     _check_positive(sigma2=sigma2, T=T)
     _check_finite(v0=v0, v1=v1, v2=v2)
-    t2_crit = critical_duration_2_second(sigma2, v0, v1, v2)
-    t1_crit = critical_duration_2_first(sigma2, v0, v1, v2)
+    t2_crit = _critical_duration_1(sigma2, _parallel_sum(v0, v1), v2)
+    t1_crit = _critical_duration_2_first(sigma2, v0, v1, v2)
     regime = _regime(T, t2_crit, t1_crit)
     trace = None
     if regime is TwoMeasureRegime.REGIME1:
@@ -531,7 +579,9 @@ def descend_two(
     The reference algorithm.  The regime decision and the closed forms of
     regimes 1 and 2 are those of :func:`optimize_two`.  Regime 3 runs
     coordinate descent from the regime-2 schedule: the t2 update is the
-    one-measure reduction, the t1 update is a golden-section line search, and
+    one-measure reduction, the t1 update is a line search that roots the t1
+    slope on [0, t2] by Brent's method (the cost is quasi-convex in t1, so
+    its minimizer is that sign change or an end of the interval), and
     iteration stops when both coordinate steps drop below
     ``options.step_tol``.  The result is always cross-checked against the
     stationarity system of :func:`solve_stationarity`: a bracket of the

@@ -336,3 +336,25 @@ def test_readme_examples_are_byte_identical(tmp_path, capsys):
                           "--format", "csv", "--output", str(csv_path))
     assert (status, out) == (0, "")
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == README_SWEEP_CSV_SHA256
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    """The README's library example prints what its comments say: each
+    printed value matches the comment's value to the digits shown (the text
+    before a colon in the comment)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1].split(":")[0].split()
+                for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 3
+    for out, expected in zip(printed, comments):
+        values = out.split()
+        assert len(values) == len(expected), (out, expected)
+        for value, shown in zip(values, expected):
+            if shown.replace(".", "", 1).isdigit():
+                digits = len(shown.split(".")[1]) if "." in shown else 0
+                assert round(float(value), digits) == float(shown), (out, expected)
+            else:
+                assert value == shown, (out, expected)

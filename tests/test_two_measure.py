@@ -78,6 +78,57 @@ def test_critical_spacing_examples():
     assert cub.evaluate(0.75) < 0.0
 
 
+def _spacing_40_digits(sigma2, v0, v1, v2):
+    """critical_spacing at 40 digits: the positive root of the boundary cubic,
+    from all its roots; and whether all three are real."""
+    with mpmath.workdps(40):
+        s, v0, v1, v2 = (mpmath.mpf(x) for x in (sigma2, v0, v1, v2))
+        r1, r2 = v1 / v0, v2 / v0
+        a = -((1 + r1) ** 2) * (1 + 2 * r1)
+        b = (1 + r1) * (1 - 3 * ((1 + r1) * (1 + 2 * r1) * r2 + r1 * r1))
+        c = r2 * b + (2 + 3 * r1) * (r1 + r2 + r1 * r2)
+        d = (r1 + r2) * (1 + r1) * (r1 + 2 * r2 + 3 * r1 * r2)
+        roots = mpmath.polyroots([a, b, c, d], maxsteps=200, extraprec=200)
+        real = [mpmath.re(x) for x in roots if abs(mpmath.im(x)) <= 1e-30 * abs(x)]
+        (y,) = [x for x in real if x > 0]
+        return float(y * v0 / s), len(real) == 3
+
+
+def test_critical_spacing_matches_a_40_digit_root():
+    """Over time and variance scales 10^(+-8) and ratios v1/v0, v2/v0 in
+    10^(+-4), with zero sensors mixed in, the closed-form spacing is within
+    1e-13 (relative) of the cubic's root.  At the first case a bisection
+    that stops on an absolute width in sigma2*t2 is off by 1.4e-5."""
+    rng = np.random.default_rng(61)
+    cases = [(1.0, 5.69e-6, 8.22e-4, 2.75e-3), (1.0, 1.0, 0.0, 0.0)]
+    for _ in range(300):
+        sigma2, v0 = 10.0 ** rng.uniform(-8.0, 8.0, size=2)
+        v1, v2 = v0 * 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+        zero = rng.uniform()
+        cases.append((sigma2, v0, 0.0 if zero < 0.1 else v1, 0.0 if 0.1 <= zero < 0.2 else v2))
+    three_real = 0
+    for sigma2, v0, v1, v2 in cases:
+        sigma2, v0, v1, v2 = map(float, (sigma2, v0, v1, v2))
+        exact, all_real = _spacing_40_digits(sigma2, v0, v1, v2)
+        got = critical_spacing(sigma2, v0, v1, v2)
+        assert abs(got - exact) <= 1e-13 * exact, (sigma2, v0, v1, v2)
+        three_real += all_real
+    # both the trigonometric (three real roots) and Cardano's form ran
+    assert 50 <= three_real <= len(cases) - 50
+
+
+def test_critical_spacing_stays_finite_at_extreme_ratios():
+    # the ratios v1/v0 and v2/v0 are capped inside the closed form, so no
+    # intermediate overflows; sigma2*t2/v0 always lies in [0, 1]
+    rng = np.random.default_rng(63)
+    for _ in range(2000):
+        v1, v2 = (float(x) for x in 10.0 ** rng.uniform(-300.0, 300.0, size=2))
+        y = critical_spacing(1.0, 1.0, v1, v2)
+        assert 0.0 <= y <= 1.0 + 1e-15, (v1, v2)
+    assert critical_spacing(1.0, 5e-324, 1.0, 1.0) == 0.0
+    assert critical_spacing(1.0, 1.0, 0.0, 0.0) == 1.0
+
+
 def test_critical_spacing_increases_with_prior_variance():
     rng = np.random.default_rng(22)
     for _ in range(100):
@@ -208,9 +259,13 @@ def test_optimize_boundary_rows():
 def test_regime_label_and_solve_path_agree_at_first_critical_duration():
     # The regime label and the path the solve takes (closed form or descent)
     # come from one comparison of T with T1_crit, including within rounding
-    # of it; a horizon equal to T1_crit belongs to regime 2.
+    # of it; a horizon equal to T1_crit belongs to regime 2.  Here T1_crit is
+    # 7/6 exactly, which rounds to 1.1666666666666665, one ulp below
+    # fl(7/6): the label is regime 3, and the regime-3 root is u1 = 0.
     sol = optimize_two(1.0, 7.0 / 6.0, 1.0, 1.0, 1.0)
-    assert sol.regime is TwoMeasureRegime.REGIME2
+    assert sol.T1_crit < 7.0 / 6.0
+    assert sol.regime is classify_regime(1.0, 7.0 / 6.0, 1.0, 1.0, 1.0)
+    assert sol.regime is TwoMeasureRegime.REGIME3
     assert sol.t1_opt == 0.0
 
     rng = np.random.default_rng(41)
@@ -370,6 +425,50 @@ def test_t2_update_matches_line_minimum():
         line_cost = lambda u: cost_pair(sigma2, T, v0, v1, v2, t1, u)
         assert line_cost(closed) <= line_cost(golden) + 1e-12
         assert abs(closed - golden) < 1e-5 or line_cost(closed) < line_cost(golden)
+
+
+def test_t1_line_search_roots_the_slope(monkeypatch):
+    """Every t1 line search of 300 random regime-3 descents returns a t1 that
+    costs no more than the best point of a 4001-point lattice of [0, t2] (up
+    to rounding), within 1e-12*max(1, t2) of a sign change of the t1 slope,
+    in at most 10 slope evaluations on average."""
+    searches, evaluations = [], [0]
+    line_search, slope_factor = two_measure._line_search_t1, two_measure._t1_slope_factor
+
+    def recording(*args):
+        t1 = line_search(*args)
+        searches.append((args, t1))
+        return t1
+
+    def counting(*args):
+        evaluations[0] += 1
+        return slope_factor(*args)
+
+    monkeypatch.setattr(two_measure, "_line_search_t1", recording)
+    monkeypatch.setattr(two_measure, "_t1_slope_factor", counting)
+    rng = np.random.default_rng(62)
+    runs = 0
+    while runs < 300:
+        sigma2 = float(10.0 ** rng.uniform(-1.0, 1.0))
+        scale = float(10.0 ** rng.uniform(-1.0, 1.0))
+        v0, v1, v2 = (float(x) * scale for x in rng.uniform(0.0, 5.0, size=3))
+        T = critical_duration_2_first(sigma2, v0, v1, v2) + scale / sigma2 * float(
+            rng.uniform(0.05, 5.0)
+        )
+        if descend_two(sigma2, T, v0, v1, v2).regime is TwoMeasureRegime.REGIME3:
+            runs += 1
+    monkeypatch.undo()
+    assert evaluations[0] <= 10 * len(searches)
+    for (sigma2, T, v0, v1, v2, t2), t1 in searches:
+        assert 0.0 <= t1 <= t2
+        lattice = np.linspace(0.0, t2, 4001)
+        best = float(np.min(numerics._cost_two_lattice(sigma2, T, v0, v1, v2, lattice, t2)))
+        assert cost_pair(sigma2, T, v0, v1, v2, t1, t2) <= best * (1.0 + 1e-14)
+        reach = 1e-12 * max(1.0, t2)
+        if t1 - reach > 0.0:
+            assert two_measure._t1_slope_factor(sigma2, T, v0, v1, v2, t1 - reach, t2) < 0.0
+        if t1 + reach < t2:
+            assert two_measure._t1_slope_factor(sigma2, T, v0, v1, v2, t1 + reach, t2) > 0.0
 
 
 def test_regime1_cost_equals_merged_single_measure():
@@ -606,13 +705,14 @@ _variance = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0))
     v0=st.floats(min_value=0.01, max_value=5.0),
     v1=_variance,
     v2=_variance,
-    stretch=st.floats(min_value=1.05, max_value=4.0),
+    stretch=st.floats(min_value=1.0 + 1e-9, max_value=4.0),
     time_decades=st.floats(min_value=-8.0, max_value=8.0),
     variance_decades=st.floats(min_value=-8.0, max_value=8.0),
 )
 def test_regime3_instants_are_scale_invariant(v0, v1, v2, stretch, time_decades, variance_decades):
-    # T >= 1.05*T1_crit keeps clear of the regime-2/3 boundary, which
-    # critical_spacing locates with an absolute stop rule
+    # T1_crit comes from the closed-form root of the boundary cubic, exact to
+    # about 1e-15 relative at every scale, so a horizon 1e-9 past it is regime
+    # 3 at every scale too
     T = stretch * critical_duration_2_first(1.0, v0, v1, v2)
     unit = optimize_two(1.0, T, v0, v1, v2)
     a, b = 10.0**time_decades, 10.0**variance_decades

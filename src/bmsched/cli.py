@@ -85,11 +85,12 @@ def render_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = ", ".join(render_json(v, indent + 1) for v in obj)
+        # each child is rendered once, for the inline and the multi-line layout
+        parts = [render_json(v, indent + 1) for v in obj]
+        inner = ", ".join(parts)
         if len(inner) <= 72:
             return "[" + inner + "]"
-        items = [f"{pad}  {render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return "[\n" + ",\n".join(f"{pad}  {p}" for p in parts) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:

@@ -2,12 +2,15 @@
 
 The oracles evaluate the integral cost directly from the variance recursion on
 a dense lattice, independently of any closed-form optimizer, so they can serve
-as ground truth in tests.  The two-instant oracle fills and scans only the
-triangle t1 <= t2 of its m x m cost matrix, in row blocks of about
-``_BLOCK_CELLS`` cells that stay in cache, so its memory is about the matrix
-(8m^2 bytes) plus one block.  Both oracles refine their lattice winner on
-Python floats, through the same cost expressions as the lattice, so a
-refined cost rounds exactly as a lattice cell would.
+as ground truth in tests.  Both oracles stream their lattice through blocks of
+about ``_BLOCK_CELLS`` points that stay in cache and keep no full cost array:
+the one-instant oracle keeps each block's minimum, and the two-instant oracle
+fills only the triangle t1 <= t2 of its m x m lattice, in row blocks, keeping
+each block's minimum and its coordinatewise minima.  So their memory is a few
+blocks (the lattice itself is one array of m points), whatever m is.  Both
+oracles refine their lattice winner on Python floats, through the same cost
+expressions as the lattice, so a refined cost rounds exactly as a lattice cell
+would.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kalman import ModelParams, _parallel_sum
+from .kalman import ModelParams, _check_domain, _parallel_sum
 
 __all__ = [
     "GOLDEN_RATIO_CONJUGATE",
@@ -221,9 +224,11 @@ def finite_diff(f: Callable[[float], float], x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-# cells per block of the two-instant fill and scan: 512 kB per float64
-# temporary, which stays in cache; on the benchmark's oracle pool a call takes
-# about 21 ms at 2**15 or 2**16 cells, 27 ms at 2**18 and 40 ms at 2**20
+# lattice points per block of both oracles' fill and scan: 512 kB per float64
+# temporary, which stays in cache; on 40 random instances with T up to 4, a
+# two-instant call at step 2e-3 takes about 20 ms at 2**15 or 2**16 cells,
+# 25 ms at 2**17, 30 ms at 2**18 and 45 ms at 2**20, and a one-instant call at
+# step 1e-5 about 2.1 ms at 2**16 and 3.6 ms at 2**18
 _BLOCK_CELLS = 1 << 16
 
 
@@ -272,14 +277,32 @@ def _cost_two_lattice(sigma2, T, v0, v1, v2, t1, t2):
     )
 
 
+def _first_min(minima):
+    """The (position, cost) pair, out of each block's first minimum in lattice
+    order, that one ``np.argmin`` over the whole lattice would pick: the first
+    minimum, or the first NaN."""
+    b = int(np.argmin([cost for _, cost in minima]))
+    position, cost = minima[b]
+    return position, float(cost)
+
+
 def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracleResult:
     """Exhaustive search of the one-measurement cost over a t1 lattice,
-    followed by a golden-section refinement inside the winning cells."""
+    followed by a golden-section refinement inside the winning cells.
+
+    The lattice costs are evaluated and searched in blocks of
+    ``_BLOCK_CELLS`` points, so memory is the lattice plus one block.
+    """
     s, T, v0 = params.sigma2, params.horizon, params.prior_variance
+    _check_domain(sensor=sensor)
     t = _lattice(T, step)
-    J = _cost_one_lattice(s, T, v0, sensor, t)
-    k = int(np.argmin(J))
-    best_t, best_J = float(t[k]), float(J[k])
+    minima = []
+    for k0 in range(0, len(t), _BLOCK_CELLS):
+        Jb = _cost_one_lattice(s, T, v0, sensor, t[k0 : k0 + _BLOCK_CELLS])
+        k = int(np.argmin(Jb))
+        minima.append((k0 + k, Jb[k]))
+    k, best_J = _first_min(minima)
+    best_t = float(t[k])
     lo = float(t[max(0, k - 1)])
     hi = float(t[min(len(t) - 1, k + 1)])
     refined = False
@@ -307,35 +330,37 @@ def _blocks(m: int):
         i0 = i1
 
 
-def _cwlm_nodes(J: np.ndarray, tol: float = 1e-12) -> list[tuple[int, int]]:
-    """Lattice points not improvable by one axis step, in row-major order.
+def _block_nodes(i0, Jb, above, below, nodes, tol=1e-12):
+    """Add to ``nodes`` the cells of row block Jb (rows i0 to i1 - 1, columns
+    i0 and above) that no axis step improves, mapped to their costs, in
+    row-major order.  Return Jb's last row from column i1 on, which is the
+    next block's ``above``.
 
     Comparisons are against the 4 axis neighbors that lie inside the domain
-    (J is inf outside); ties within tol count as no improvement.  Only the
-    triangle j >= i holds finite values, so the scan visits it in the fill's
-    row blocks: rows [i0, i1) and columns i0 and above, read with a one-cell
-    rim of neighbors, so each block's temporaries stay in cache.
+    (cells below the diagonal are inf); ties within tol count as no
+    improvement.  ``above`` is row i0 - 1 from column i0 on and ``below`` row
+    i1 from column i1 on, None past the lattice's edge: the rest of those
+    rows, like the column left of the block, lies below the diagonal.
     """
-    m = J.shape[0]
-    nodes = []
-    for i0, i1 in _blocks(m):
-        rim = max(i0 - 1, 0)
-        W = J[rim : min(i1 + 1, m), rim:]
-        Wt = W + tol
-        ok = np.isfinite(W)
-        ok[:-1, :] &= W[:-1, :] <= Wt[1:, :]
-        ok[1:, :] &= W[1:, :] <= Wt[:-1, :]
-        ok[:, :-1] &= W[:, :-1] <= Wt[:, 1:]
-        ok[:, 1:] &= W[:, 1:] <= Wt[:, :-1]
-        inner = ok[i0 - rim : i1 - rim, i0 - rim :]
-        if inner.any():
-            nodes.extend((int(a) + i0, int(b) + i0) for a, b in np.argwhere(inner))
-    return nodes
+    Jt = Jb + tol
+    ok = np.isfinite(Jb)
+    ok[:-1, :] &= Jb[:-1, :] <= Jt[1:, :]
+    ok[1:, :] &= Jb[1:, :] <= Jt[:-1, :]
+    ok[:, :-1] &= Jb[:, :-1] <= Jt[:, 1:]
+    ok[:, 1:] &= Jb[:, 1:] <= Jt[:, :-1]
+    k = Jb.shape[0]  # the column of i1
+    if above is not None:
+        ok[0, :] &= Jb[0, :] <= above + tol
+    if below is not None:
+        ok[-1, k:] &= Jb[-1, k:] <= below + tol
+    for (a, b), cost in zip(np.argwhere(ok).tolist(), Jb[ok].tolist()):
+        nodes[a + i0, b + i0] = cost
+    return Jb[-1, k:].copy()
 
 
-def _merge_touching(nodes: list[tuple[int, int]], J: np.ndarray) -> list[tuple[int, int]]:
-    """One representative (the best node) per 8-connected group of nodes."""
-    nodeset = set(nodes)
+def _merge_touching(nodes: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+    """One representative (the best node) per 8-connected group of nodes;
+    ``nodes`` maps each node to its cost, in row-major order."""
     seen: set[tuple[int, int]] = set()
     reps = []
     for nd in nodes:
@@ -350,10 +375,10 @@ def _merge_touching(nodes: list[tuple[int, int]], J: np.ndarray) -> list[tuple[i
             for di in (-1, 0, 1):
                 for dj in (-1, 0, 1):
                     nb = (i + di, j + dj)
-                    if nb in nodeset and nb not in seen:
+                    if nb in nodes and nb not in seen:
                         seen.add(nb)
                         stack.append(nb)
-        reps.append(min(comp, key=lambda ij: J[ij]))
+        reps.append(min(comp, key=nodes.__getitem__))
     reps.sort()
     return reps
 
@@ -368,32 +393,36 @@ def grid_oracle_2(
     exactly.  Also reports the lattice points that are coordinatewise
     unimprovable (see :class:`GridOracleResult`).
 
-    The cost matrix J is m x m and inf below the diagonal (t2 < t1); only
-    the triangle is filled and scanned, in row blocks of about
-    ``_BLOCK_CELLS`` cells, so memory is about J (8m^2 bytes) plus one
-    block's temporaries.
+    The triangle of the m x m lattice is filled in row blocks of about
+    ``_BLOCK_CELLS`` cells, and each block is dropped once its minimum and its
+    coordinatewise minima are taken; a block's scan waits for the next
+    block's first row, its lower rim.  So memory is a few blocks, whatever m
+    is, and no m x m cost matrix exists.
     """
     if len(sensors) != 2:
         raise ValueError(f"sensors must have exactly 2 entries, got {len(sensors)}")
     s, T, v0 = params.sigma2, params.horizon, params.prior_variance
     v1, v2 = float(sensors[0]), float(sensors[1])
+    _check_domain(v1=v1, v2=v2)
     t = _lattice(T, step)
-    m = len(t)
-    J = np.full((m, m), np.inf)
-    for i0, i1 in _blocks(m):
+    minima = []
+    nodes: dict[tuple[int, int], float] = {}
+    held = above = None
+    for i0, i1 in _blocks(len(t)):
         rows = t[i0:i1, None]
         Jb = _cost_two_lattice(s, T, v0, v1, v2, rows, t[None, i0:])
         corner = Jb[:, : i1 - i0]
         corner[t[None, i0:i1] < rows] = np.inf
-        J[i0:i1, i0:] = Jb
+        a, b = divmod(int(np.argmin(Jb)), Jb.shape[1])
+        minima.append(((a + i0, b + i0), Jb[a, b]))
+        if held is not None:
+            above = _block_nodes(*held, above, Jb[0], nodes)
+        held = (i0, Jb)
+    _block_nodes(*held, above, None, nodes)
 
-    k = int(np.argmin(J))
-    i, j = divmod(k, m)
+    (i, j), best_J = _first_min(minima)
     best = (float(t[i]), float(t[j]))
-    best_J = float(J[i, j])
-
-    reps = _merge_touching(_cwlm_nodes(J), J)
-    cwlms = tuple((float(t[a]), float(t[b])) for a, b in reps)
+    cwlms = tuple((float(t[a]), float(t[b])) for a, b in _merge_touching(nodes))
 
     def J_scalar(x1, x2):
         return _cost_two_lattice(s, T, v0, v1, v2, x1, x2)

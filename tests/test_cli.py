@@ -298,6 +298,37 @@ def test_render_csv_deterministic():
     assert text == "a,b\n1.0,0.5\n2.0,0.333333333333\n"
 
 
+def _count_floats(doc) -> int:
+    if isinstance(doc, dict):
+        return sum(_count_floats(v) for v in doc.values())
+    if isinstance(doc, list):
+        return sum(_count_floats(v) for v in doc)
+    return isinstance(doc, float)
+
+
+def test_render_json_formats_each_number_once(capsys, monkeypatch):
+    """Lists too long for one line are laid out over several without
+    rendering their children a second time, at any depth."""
+    calls = []
+    fmt = cli._fmt
+
+    def counting(x):
+        calls.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", counting)
+    doc = {"rows": [[k + 0.125] * 12 for k in range(4)], "pair": [0.5, 2.0]}
+    text = cli.render_json(doc)
+    assert json.loads(text) == json.loads(json.dumps(doc))
+    assert len(calls) == 50
+
+    calls.clear()
+    status, out = run_cli(capsys, "optimize2", "--sigma2", "1", "--T", "2", "--v0", "1",
+                          "--v1", "1", "--v2", "1", "--trace")
+    assert status == 0
+    assert len(calls) == _count_floats(json.loads(out))
+
+
 README_EXAMPLES = {
     "optimize2": ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1",
                   "--v1", "1", "--v2", "1"],

@@ -266,17 +266,44 @@ def test_golden_oracles_are_bit_identical():
             assert _golden.solve(name, args) == expected, (name, args)
 
 
-def test_grid_oracle_2_memory_is_about_one_cost_matrix():
-    # the m x m cost matrix takes 8m^2 bytes; the fill and the scan for
-    # lattice minima work in blocks, so they add little on top of it
-    m = 2001
+@pytest.mark.parametrize("block_cells", [1, 997])
+def test_golden_oracles_do_not_depend_on_the_block_size(monkeypatch, block_cells):
+    """With one row per block, every coordinatewise-minimum rim crosses a
+    block boundary; an odd block size splits rows unevenly.  Both reproduce
+    tests/golden/oracles.json."""
+    monkeypatch.setattr(numerics, "_BLOCK_CELLS", block_cells)
+    records = _golden.load(_golden.ORACLE_PATH)
+    for name in ("grid_oracle_1", "grid_oracle_2"):
+        for args, expected in records[name]:
+            assert _golden.solve(name, args) == expected, (name, args, block_cells)
+
+
+def _traced_peak(f, *args) -> int:
     tracemalloc.start()
     try:
-        grid_oracle_2(ModelParams(1.3, 4.0, 1.0), (1.0, 2.0), 2e-3)
+        f(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * m * m
+    return peak
+
+
+def test_grid_oracle_2_memory_is_about_one_cost_matrix():
+    # well below one m x m cost matrix, at any m: such a matrix would take
+    # 8m^2 bytes (about 31 MiB at m = 2001 and 122 MiB at m = 4001), but the
+    # triangle is filled and scanned in row blocks of about _BLOCK_CELLS
+    # cells, and each block is dropped once scanned
+    for step in (2e-3, 1e-3):
+        peak = _traced_peak(grid_oracle_2, ModelParams(1.3, 4.0, 1.0), (1.0, 2.0), step)
+        assert peak <= 8 * 2**20, step
+
+
+def test_grid_oracle_1_memory_is_about_the_lattice():
+    # the lattice t is one array of 8n bytes; its costs are evaluated and
+    # searched in blocks of _BLOCK_CELLS points
+    n = 300_001
+    peak = _traced_peak(grid_oracle_1, ModelParams(1.3, 3.0, 1.0), 1.0, 1e-5)
+    assert peak <= 2.5 * 8 * n
 
 
 def test_grid_oracle_input_validation():
@@ -284,3 +311,13 @@ def test_grid_oracle_input_validation():
         grid_oracle_1(ModelParams(1.0, 1.0, 1.0), 1.0, step=0.0)
     with pytest.raises(ValueError):
         grid_oracle_2(ModelParams(1.0, 1.0, 1.0), (1.0, 1.0, 1.0), step=1e-3)
+    params = ModelParams(1.0, 1.0, 1.0)
+    for sensors in [(-0.5, 1.0), (1.0, math.nan), (-1.0, -1.0)]:
+        with pytest.raises(ValueError, match="must be >= 0"):
+            grid_oracle_2(params, sensors, step=1e-2)
+    for sensor in [-0.5, math.nan]:
+        with pytest.raises(ValueError, match="must be >= 0"):
+            grid_oracle_1(params, sensor, step=1e-2)
+    # inf is a sensor that carries no information, as in the golden records
+    assert grid_oracle_2(params, (math.inf, 1.0), step=1e-2).min_value > 0
+    assert grid_oracle_1(params, math.inf, step=1e-2).min_value > 0

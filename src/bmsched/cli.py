@@ -8,8 +8,8 @@ invocations produce byte-identical documents.
 Exit codes: 0 success, 2 argument error, 3 domain error, 4 oracle discrepancy
 beyond tolerance, 5 solver failure (the coordinate descent that ``optimize2``
 runs with ``--trace``, ``--tol`` or ``--max-iters`` did not converge, or it and
-the stationarity cross-check disagree, or the regime-3 root of the default
-path used up its evaluation budget).
+the reduced regime-3 root it is checked against disagree, or that root, the
+default path, used up its evaluation budget).
 """
 
 from __future__ import annotations

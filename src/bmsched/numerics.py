@@ -56,17 +56,12 @@ class GridOracleResult:
 
 
 def golden_section_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    trace: list | None = None,
+    f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> float:
     """Minimize a quasi-convex function on [lo, hi] to within tol.
 
     The bracket shrinks by the golden ratio conjugate per iteration with one
-    function evaluation each; if ``trace`` is a list, the bracket (lo, hi) is
-    appended after every shrink.  The search also stops when an iteration
+    function evaluation each.  The search also stops when an iteration
     leaves the bracket no narrower, which happens only once it spans a few
     floats (a tol below their spacing would otherwise never be met).
     """
@@ -89,20 +84,12 @@ def golden_section_min(
             a, c, fc = c, d, fd
             d = a + rho * (b - a)
             fd = f(d)
-        if trace is not None:
-            trace.append((a, b))
         if b - a >= width:
             break
     return 0.5 * (a + b)
 
 
-def bisect_root(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    trace: list | None = None,
-) -> float:
+def bisect_root(g: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """Root of a sign-changing function by bisection, to within tol.
 
     The bisection also stops when lo and hi are adjacent floats, whose
@@ -132,8 +119,6 @@ def bisect_root(
             hi, ghi = mid, gm
         else:
             lo, glo = mid, gm
-        if trace is not None:
-            trace.append((lo, hi))
     return 0.5 * (lo + hi)
 
 

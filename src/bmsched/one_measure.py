@@ -133,10 +133,18 @@ def _critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
 
 def _interior_instant(sigma2: float, T: float, v0: float, v1: float) -> float:
     # Discriminant in factored form (sigma2*T+v0+v1)(sigma2*T+v0+9*v1) to
-    # avoid cancellation for large v1.
+    # avoid cancellation for large v1.  The numerator sqrt(disc) - b, with
+    # b = 3*(v0+v1) - sigma2*T, cancels when b > 0 is close to sqrt(disc);
+    # there it is taken as (disc - b^2)/(sqrt(disc) + b), with disc - b^2
+    # expanded symbolically.
     sT = sigma2 * T
     disc = (sT + v0 + v1) * (sT + v0 + 9.0 * v1)
-    return max(0.0, (sT - 3.0 * v0 - 3.0 * v1 + math.sqrt(disc)) / (4.0 * sigma2))
+    b = 3.0 * (v0 + v1) - sT
+    if b > 0.0:
+        num = 8.0 * (sT * (v0 + 2.0 * v1) - v0 * (v0 + v1)) / (math.sqrt(disc) + b)
+    else:
+        num = sT - 3.0 * v0 - 3.0 * v1 + math.sqrt(disc)
+    return max(0.0, num / (4.0 * sigma2))
 
 
 def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasureSolution:

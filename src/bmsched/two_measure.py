@@ -17,10 +17,7 @@ closed-form, so the optimal u1 is the single sign change of the t1 slope
 along that curve, which Brent's method finds in about 8 slope evaluations.
 ``descend_two`` keeps the paper's algorithm as the reference: coordinate
 descent whose t1 line searches root the t1 slope by Brent's method, always
-cross-checked against the stationarity system (a bracket around the
-descent's answer certifies that the stationarity root lies within
-tolerance, and only when the certificate fails does a bisection on the
-stationarity gap locate the root).  It returns the descent's trace.
+cross-checked against that reduced root.  It returns the descent's trace.
 
 The public functions validate their arguments.  The optimizers validate once
 on entry; their inner loops then call unchecked bodies (``_cost_pair``,
@@ -36,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .kalman import _check_domain, _check_finite, _check_positive
 from .kalman import _parallel_sum, parallel_sum
-from .numerics import bisect_root, brent_root
+from .numerics import brent_root
 from .one_measure import _critical_duration_1, _duration_from_instant, _noise_ratio
 from .one_measure import _optimal_instant, optimal_instant_1
 
@@ -57,7 +54,6 @@ __all__ = [
     "equilibrium_gap",
     "optimize_two",
     "descend_two",
-    "solve_stationarity",
 ]
 
 
@@ -82,12 +78,9 @@ class CubicCoeffs:
         return ((self.a * x + self.b) * x + self.c) * x + self.d
 
 
-# bracket width of the stationarity bisection
-_STATIONARITY_TOL = 1e-12
-# largest allowed distance between the descent and the stationarity solution
+# largest allowed distance, in t1 or t2, between the descent and the reduced
+# regime-3 root
 _CROSS_CHECK_TOL = 1e-5
-# half-width, in t1, of the bracket that certifies the cross-check
-_CERTIFICATE_RADIUS = _CROSS_CHECK_TOL / 4
 # bracket width, in u = t1/T, of the reduced regime-3 root
 _ROOT_TOL = 1e-13
 
@@ -181,7 +174,12 @@ def _t1_slope_factor(
     ratio = _noise_ratio(v1, g)
     post1 = _parallel_sum(v1, g)
     denom = v2 + sigma2 * (t2 - t1) + post1
-    inner = (t2 - t1) if denom == 0.0 else v2 * v2 * (T - t2) / (denom * denom) + (t2 - t1)
+    if denom == 0.0:
+        inner = t2 - t1
+    elif denom * denom == 0.0:  # the square underflows, but not the ratio
+        inner = (v2 / denom) ** 2 * (T - t2) + (t2 - t1)
+    else:
+        inner = v2 * v2 * (T - t2) / (denom * denom) + (t2 - t1)
     return g - (1.0 + ratio) * sigma2 * inner
 
 
@@ -376,70 +374,6 @@ def equilibrium_gap(
     return critical_spacing(sigma2, v0 + sigma2 * t1, v1, v2)
 
 
-def _stationarity_root(
-    sigma2: float, T: float, v0: float, v1: float, v2: float
-) -> tuple[float, float]:
-    def gap_mismatch(t1: float) -> float:
-        return _optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
-            sigma2, v0, v1, v2, t1
-        )
-
-    # Exactly on the regime-2/3 boundary (up to rounding) the root is t1 = 0.
-    if gap_mismatch(0.0) <= 0.0:
-        return 0.0, equilibrium_gap(sigma2, v0, v1, v2, 0.0)
-    t1 = bisect_root(gap_mismatch, 0.0, T, tol=_STATIONARITY_TOL)
-    return t1, t1 + equilibrium_gap(sigma2, v0, v1, v2, t1)
-
-
-def _cross_check_certified(
-    sigma2: float, T: float, v0: float, v1: float, v2: float, t1: float, t2: float
-) -> bool:
-    """Whether the stationarity root provably lies within ``_CROSS_CHECK_TOL``
-    of the descent's (t1, t2), so that bisecting for it can be skipped.
-
-    The gap mismatch m = optimal_gap - equilibrium_gap strictly decreases in
-    t1.  So if m(lo) > 0 (or lo = 0) and m(hi) < 0, the root b1 lies in
-    [lo, hi] = [t1 - r, t1 + r] clipped to [0, T], and, t1 + equilibrium_gap(t1)
-    being increasing, its b2 = b1 + equilibrium_gap(b1) lies in
-    [lo + eq(lo), hi + eq(hi)].  An acceptance therefore implies that the
-    bisection would have passed the cross-check.
-    """
-    lo, hi = max(0.0, t1 - _CERTIFICATE_RADIUS), min(T, t1 + _CERTIFICATE_RADIUS)
-    # m is the difference of two closed forms (the one-measure optimum and the
-    # boundary cubic's root), each exact up to rounding; closer to 0 than the
-    # slack, a sign of m or a distance is not trusted.  The slack is the one
-    # the certificate had when equilibrium_gap was a bisection (ten times its
-    # bracket of 1e-12*max(x, 1) in x = sigma2*t2), far above that rounding
-    slack = 1e-11 * max(t2, 1.0 / sigma2)
-    eq_hi = equilibrium_gap(sigma2, v0, v1, v2, hi)
-    if not _optimal_gap(sigma2, T, v0, v1, v2, hi) - eq_hi < -slack:
-        return False
-    eq_lo = equilibrium_gap(sigma2, v0, v1, v2, lo)
-    if lo > 0.0 and not _optimal_gap(sigma2, T, v0, v1, v2, lo) - eq_lo > slack:
-        return False
-    # the bisection for b1 stops at a bracket of _STATIONARITY_TOL
-    reach = max(t2 - (lo + eq_lo), hi + eq_hi - t2)
-    return reach <= _CROSS_CHECK_TOL - slack - 2.0 * _STATIONARITY_TOL
-
-
-def solve_stationarity(
-    sigma2: float, T: float, v0: float, v1: float, v2: float
-) -> tuple[float, float]:
-    """Regime-3 optimum from the stationarity system.
-
-    The gap between optimal_gap (nonincreasing in t1) and equilibrium_gap
-    (strictly increasing) changes sign exactly once on [0, T]; bisection on it
-    gives t1, and t2 = t1 + equilibrium_gap(t1).
-    """
-    _check_positive(sigma2=sigma2, T=T)
-    if classify_regime(sigma2, T, v0, v1, v2) is not TwoMeasureRegime.REGIME3:
-        raise ValueError(
-            "solve_stationarity requires regime 3 "
-            f"(T={T} does not exceed the first critical duration)"
-        )
-    return _stationarity_root(sigma2, T, v0, v1, v2)
-
-
 def _merged_prior_instant(
     sigma2: float, T: float, v0: float, v1: float, v2: float
 ) -> float:
@@ -528,7 +462,7 @@ def _descend(
     sigma2: float, T: float, v0: float, v1: float, v2: float, opts: DescentOptions
 ) -> tuple[float, float, DescentTrace]:
     """Coordinate descent from the regime-2 schedule, cross-checked against
-    the stationarity system; see :func:`descend_two`."""
+    the reduced regime-3 root; see :func:`descend_two`."""
     t2 = _merged_prior_instant(sigma2, T, v0, v1, v2)
     t1 = _line_search_t1(sigma2, T, v0, v1, v2, t2)
     steps = [(t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), math.nan, math.nan)]
@@ -549,13 +483,12 @@ def _descend(
             f"iterations (last steps {d1:.3e}, {d2:.3e})"
         )
 
-    if not _cross_check_certified(sigma2, T, v0, v1, v2, t1, t2):
-        b1, b2 = _stationarity_root(sigma2, T, v0, v1, v2)
-        if max(abs(b1 - t1), abs(b2 - t2)) > _CROSS_CHECK_TOL:
-            raise RuntimeError(
-                "coordinate descent and the stationarity solver disagree: "
-                f"descent ({t1}, {t2}) vs bisection ({b1}, {b2})"
-            )
+    b1, b2, _ = _reduced_root(sigma2, T, v0, v1, v2)
+    if max(abs(b1 - t1), abs(b2 - t2)) > _CROSS_CHECK_TOL:
+        raise RuntimeError(
+            "coordinate descent and the reduced regime-3 root disagree: "
+            f"descent ({t1}, {t2}) vs root ({b1}, {b2})"
+        )
 
     gap_residual = _optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
         sigma2, v0, v1, v2, t1
@@ -584,11 +517,10 @@ def descend_two(
     its minimizer is that sign change or an end of the interval), and
     iteration stops when both coordinate steps drop below
     ``options.step_tol``.  The result is always cross-checked against the
-    stationarity system of :func:`solve_stationarity`: a bracket of the
-    stationarity root around the descent's t1 certifies agreement within
-    tolerance, and the bisection runs only when that certificate fails.  A
-    disagreement, like non-convergence, raises ``RuntimeError``.  In regime 3
-    the solution carries the descent's trace.
+    reduced root of :func:`optimize_two`, which solves the same stationarity
+    system: either instant more than 1e-5 away from it, like
+    non-convergence, raises ``RuntimeError``.  In regime 3 the solution
+    carries the descent's trace.
 
     The stop rules are absolute widths in time, so at large time scales the
     descent can fail to converge where :func:`optimize_two` does not.

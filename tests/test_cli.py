@@ -159,6 +159,22 @@ def test_exit_code_solver_failure(capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_huge_sigma2_solves_and_the_descent_reports_disagreement(capsys):
+    # in units of sigma2*T the variances are about 1e-308: the regime-3 root
+    # gives t/T = (1/3, 2/3), while the descent stops at (0, 0), which its
+    # cross-check against that root reports
+    argv = ["optimize2", "--sigma2", "1e308", "--T", "1", "--v0", "1", "--v1", "1",
+            "--v2", "1"]
+    status, out = run_cli(capsys, *argv)
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["regime"] == "3"
+    assert doc["t1_opt"] == pytest.approx(1.0 / 3.0, rel=1e-9)
+    assert doc["t2_opt"] == pytest.approx(2.0 / 3.0, rel=1e-9)
+    assert run(argv + ["--trace"]) == 5
+    assert "disagree" in capsys.readouterr().err
+
+
 def test_solver_budget_exhaustion_is_solver_failure(capsys, monkeypatch):
     # the regime-3 root of optimize_two, out of evaluations, raises a
     # RuntimeError subclass, which the CLI reports like any solver failure
@@ -348,7 +364,7 @@ README_SWEEP_SPEC = {
     "swept": {"v0": [0.0, 5.0, 101], "v1": [0.0, 5.0, 101]},
     "seed": 0,
 }
-README_SWEEP_CSV_SHA256 = "02394d69b4a4111025f18ebb1edaa350b5aa83da209ef9642268d625ed85889a"
+README_SWEEP_CSV_SHA256 = "14725e6a87076cdbc36d258a38b3c94f4f3313a8048b142f162a4cde41d249f1"
 
 
 def test_readme_examples_are_byte_identical(tmp_path, capsys):

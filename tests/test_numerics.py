@@ -40,12 +40,21 @@ def test_golden_section_on_descent_start():
 
 
 def test_golden_section_bracket_shrinks_by_golden_ratio():
-    trace: list = []
-    golden_section_min(lambda x: (x - 0.4) ** 2, 0.0, 1.0, 1e-8, trace=trace)
-    widths = [hi - lo for lo, hi in trace]
-    assert widths[0] == pytest.approx(GOLDEN_RATIO_CONJUGATE, rel=1e-12)
+    # the two interior points of a bracket of width w lie (2*rho - 1)*w apart;
+    # each new point pairs with the old interior point nearest to it
+    rho = GOLDEN_RATIO_CONJUGATE
+    points: list = []
+    golden_section_min(lambda x: points.append(x) or (x - 0.4) ** 2, 0.0, 1.0, 1e-8)
+    pair = points[:2]
+    widths = [abs(pair[1] - pair[0])]
+    for x in points[2:]:
+        kept = min(pair, key=lambda p: abs(p - x))
+        pair = [kept, x]
+        widths.append(abs(x - kept))
+    assert len(widths) > 30
+    assert widths[0] == pytest.approx(2.0 * rho - 1.0, rel=1e-12)
     for a, b in zip(widths, widths[1:]):
-        assert b == pytest.approx(GOLDEN_RATIO_CONJUGATE * a, rel=1e-9)
+        assert b == pytest.approx(rho * a, rel=1e-9)
 
 
 def test_golden_section_evaluation_budget():
@@ -88,11 +97,16 @@ def test_bisect_root_on_stationarity_gap():
 
 
 def test_bisect_root_interval_halves_and_residual_shrinks():
-    trace: list = []
+    # after the two ends, g is called at the midpoints of the brackets, and
+    # consecutive midpoints lie a quarter of the earlier bracket apart
+    points: list = []
     g = lambda x: math.tanh(x - 0.3)
-    root = bisect_root(g, -1.0, 1.0, 1e-12, trace=trace)
-    widths = [hi - lo for lo, hi in trace]
-    for a, b in zip(widths, widths[1:]):
+    root = bisect_root(lambda x: points.append(x) or g(x), -1.0, 1.0, 1e-12)
+    assert points[:3] == [-1.0, 1.0, 0.0]
+    steps = [abs(b - a) for a, b in zip(points[2:], points[3:])]
+    assert len(steps) > 30
+    assert steps[0] == 0.5
+    for a, b in zip(steps, steps[1:]):
         assert b == pytest.approx(0.5 * a, rel=1e-9)
     assert abs(g(root)) < 1e-10
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,6 +70,29 @@ def test_optimal_instant_examples():
     assert sol.t_opt == pytest.approx(0.6180339887498949, abs=1e-6)
 
     assert optimal_instant_1(1.0, 0.2, 2.0, 1.0).regime is Regime.REGIME1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # horizons so short that v0 + v1 is about 1e16 sigma2*T, where the
+        # numerator sqrt(disc) - b of the closed form cancels
+        (0.02270379470214179, 1.1952541310982844e-14, 0.0, 8.243413924809195),
+        (24.15366429762885, 9.847880040046877e-18, 0.0, 1.1070755342900154),
+        (0.08764500068280252, 8.199630497495901e-15, 0.0, 8.756076974741031),
+    ],
+)
+def test_optimal_instant_at_tiny_horizons_matches_50_digits(args):
+    with mpmath.workdps(50):
+        s, T, v0, v1 = (mpmath.mpf(x) for x in args)
+        # the slope's increasing factor times v0 + s*t + v1, a quadratic in t
+        a = 2 * s * s
+        b = s * (3 * (v0 + v1) - s * T)
+        c = v0 * (v0 + v1) - s * T * (v0 + 2 * v1)
+        exact = float((-b + mpmath.sqrt(b * b - 4 * a * c)) / (2 * a))
+    sol = optimal_instant_1(*args)
+    assert sol.regime is Regime.REGIME2
+    assert abs(sol.t_opt - exact) <= 1e-13 * args[1]
 
 
 def test_duration_from_instant_examples():

@@ -25,7 +25,6 @@ from bmsched.two_measure import (
     equilibrium_gap,
     optimal_gap,
     optimize_two,
-    solve_stationarity,
 )
 
 # worked-example table: (v0, v1, v2, T) -> optimum, regime, first critical duration
@@ -233,6 +232,9 @@ def test_cost_derivative_positive_on_diagonal():
         (ROW_B, (1.0401, 2.4092)),
         (ROW_E, (1.1968, 2.4269)),
         (ROW_F, (1.5107, 2.4196)),
+        # the printed optimum for this row drops a digit: the stationarity
+        # system and the brute-force oracle both give t2 = 2.2985, not 2.985
+        (ROW_D, (1.1211, 2.2985)),
     ],
 )
 def test_optimize_interior_rows(row, expected):
@@ -299,19 +301,6 @@ def test_optimize_descent_start_matches_table():
     assert t1_first == pytest.approx(0.8668, abs=1e-3)
 
 
-def test_solve_stationarity_examples():
-    t1, t2 = solve_stationarity(1.0, ROW_B[3], *ROW_B[:3])
-    assert t1 == pytest.approx(1.0401, abs=1e-3)
-    assert t2 == pytest.approx(2.4092, abs=1e-3)
-    # the printed optimum for this row drops a digit: the stationarity system
-    # and the brute-force oracle both give t2 = 2.2985, not 2.985
-    t1, t2 = solve_stationarity(1.0, ROW_D[3], *ROW_D[:3])
-    assert t1 == pytest.approx(1.1211, abs=1e-3)
-    assert t2 == pytest.approx(2.2985, abs=1e-3)
-    with pytest.raises(ValueError):
-        solve_stationarity(1.0, 0.5, 1.0, 1.0, 1.0)
-
-
 def test_stationarity_gap_brackets_regime3():
     rng = np.random.default_rng(26)
     checked = 0
@@ -330,19 +319,20 @@ def test_stationarity_gap_brackets_regime3():
         assert at_T < 0.0
 
 
-def test_descent_and_bisection_agree():
+def test_descent_and_reduced_root_agree():
     rng = np.random.default_rng(27)
     checked = 0
     while checked < 50:
         sigma2, T, v0, v1, v2 = draw_two_measure_instance(rng)
-        sol = optimize_two(sigma2, T, v0, v1, v2)
-        if sol.regime is not TwoMeasureRegime.REGIME3:
+        root = optimize_two(sigma2, T, v0, v1, v2)
+        if root.regime is not TwoMeasureRegime.REGIME3:
             continue
         checked += 1
-        b1, b2 = solve_stationarity(sigma2, T, v0, v1, v2)
-        assert abs(sol.t1_opt - b1) < 1e-6
-        assert abs(sol.t2_opt - b2) < 1e-6
-        assert abs(sol.trace.final_gap if sol.trace else 0.0) < 1e-6
+        sol = descend_two(sigma2, T, v0, v1, v2)
+        assert sol.regime is TwoMeasureRegime.REGIME3
+        assert abs(sol.t1_opt - root.t1_opt) < 1e-6
+        assert abs(sol.t2_opt - root.t2_opt) < 1e-6
+        assert abs(sol.trace.final_gap) < 1e-6
         assert sol.t2_opt - sol.t1_opt >= 1e-6  # measurements repel
 
 
@@ -486,32 +476,8 @@ def test_regime1_cost_equals_merged_single_measure():
         assert math.isclose(sol.cost_at_opt, merged, rel_tol=1e-13)
 
 
-def test_cross_check_certificate_accepts_regime3_solutions():
-    """On random regime-3 instances the bracket certificate accepts the
-    descent's answer, and the stationarity bisection indeed lies within the
-    cross-check tolerance of it."""
-    rng = np.random.default_rng(41)
-    runs = 0
-    while runs < 200:
-        sigma2 = float(10.0 ** rng.uniform(-1.0, 1.0))
-        scale = float(10.0 ** rng.uniform(-1.0, 1.0))
-        v0, v1, v2 = (float(x) * scale for x in rng.uniform(0.0, 5.0, size=3))
-        T = critical_duration_2_first(sigma2, v0, v1, v2) + scale / sigma2 * float(
-            rng.uniform(0.05, 5.0)
-        )
-        if classify_regime(sigma2, T, v0, v1, v2) is not TwoMeasureRegime.REGIME3:
-            continue
-        runs += 1
-        sol = optimize_two(sigma2, T, v0, v1, v2)
-        t1, t2 = sol.t1_opt, sol.t2_opt
-        assert two_measure._cross_check_certified(sigma2, T, v0, v1, v2, t1, t2)
-        b1, b2 = solve_stationarity(sigma2, T, v0, v1, v2)
-        assert max(abs(b1 - t1), abs(b2 - t2)) <= two_measure._CROSS_CHECK_TOL
-
-
 def test_cross_check_disagreement_still_raises(monkeypatch):
-    """A descent answer 1e-4 off fails the certificate, and the fallback
-    bisection reports the disagreement."""
+    """A descent answer 1e-4 off disagrees with the reduced root."""
     line_search = two_measure._line_search_t1
     monkeypatch.setattr(
         two_measure, "_line_search_t1", lambda *args: line_search(*args) + 1e-4
@@ -592,6 +558,18 @@ def test_large_scale_solves_end():
             pass
         else:
             assert abs(sol.t1_opt / 1e6 - unit.t1_opt) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "args", [(1e308, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1e-300, 1e-300, 1e-300)]
+)
+def test_regime3_root_survives_an_underflowing_slope(args):
+    # in units of sigma2*T the variances are about 1e-300, and the square in
+    # the t1 slope underflows to 0
+    sol = optimize_two(*args)
+    assert sol.regime is TwoMeasureRegime.REGIME3
+    assert sol.t1_opt == pytest.approx(1.0 / 3.0, rel=1e-9)
+    assert sol.t2_opt == pytest.approx(2.0 / 3.0, rel=1e-9)
 
 
 def test_regime3_root_takes_few_evaluations(monkeypatch):

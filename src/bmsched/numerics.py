@@ -7,10 +7,11 @@ about ``_BLOCK_CELLS`` points that stay in cache and keep no full cost array:
 the one-instant oracle keeps each block's minimum, and the two-instant oracle
 fills only the triangle t1 <= t2 of its m x m lattice, in row blocks, keeping
 each block's minimum and its coordinatewise minima.  So their memory is a few
-blocks (the lattice itself is one array of m points), whatever m is.  Both
-oracles refine their lattice winner on Python floats, through the same cost
-expressions as the lattice, so a refined cost rounds exactly as a lattice cell
-would.
+blocks (the lattice itself is one array of m points), whatever m is.  The
+cost kernels fill a block in place with the operations, in the order, they
+take on one cell's Python floats, on which both oracles refine their lattice
+winner, so a refined cost rounds as a lattice cell (squares are products:
+CPython's float ``** 2`` calls C ``pow``).  An overflowing cost raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "bisect_root",
     "brent_root",
     "RootBudgetExceeded",
-    "finite_diff",
     "grid_oracle_1",
     "grid_oracle_2",
 ]
@@ -202,19 +202,12 @@ def brent_root(g: Callable[[float], float], lo: float, hi: float, tol: float) ->
         evaluations += 1
 
 
-def finite_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Central difference (f(x+h) - f(x-h)) / (2h)."""
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-# lattice points per block of both oracles' fill and scan: 512 kB per float64
-# temporary, which stays in cache; on 40 random instances with T up to 4, a
-# two-instant call at step 2e-3 takes about 20 ms at 2**15 or 2**16 cells,
-# 25 ms at 2**17, 30 ms at 2**18 and 45 ms at 2**20, and a one-instant call at
-# step 1e-5 about 2.1 ms at 2**16 and 3.6 ms at 2**18
-_BLOCK_CELLS = 1 << 16
+# lattice points per block of both oracles' fill and scan: 256 kB per float64
+# temporary, which stays in cache.  On the benchmark's 256 instances of each
+# oracle (2 CPUs, numpy 2.4), a two-instant call at step 2e-3 takes 6.7, 6.4, 7.2
+# and 8.2 ms at 2**14 to 2**17 cells, a one-instant call at step 1e-5 0.84, 0.89,
+# 1.3 and 2.1 ms, and a process running both pools peaks at 37.6 to 54.1 MB RSS
+_BLOCK_CELLS = 1 << 15
 
 
 def _lattice(T: float, step: float) -> np.ndarray:
@@ -225,52 +218,65 @@ def _lattice(T: float, step: float) -> np.ndarray:
 
 
 def _post_variance(v_sensor: float, pre):
-    """Parallel sum of a scalar sensor variance and pre-measurement variances,
-    an array or one float (handles the 0 and inf conventions)."""
+    """Parallel sum of a scalar sensor variance and pre-measurement variances:
+    one float, or an array overwritten with the result (0 and inf handled)."""
     if isinstance(pre, float):
         return _parallel_sum(v_sensor, pre)
     if v_sensor == 0.0:
-        return np.zeros_like(pre)
-    if math.isinf(v_sensor):
-        return pre.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = v_sensor * pre / (v_sensor + pre)
-    return np.where(pre == 0.0, 0.0, out)
+        pre.fill(0.0)
+    elif not math.isinf(v_sensor):  # v*0/(v + 0) is already 0 for finite v > 0
+        den = pre + v_sensor
+        pre *= v_sensor
+        pre /= den
+    return pre
 
 
 def _cost_one_lattice(sigma2: float, T: float, v0: float, v1: float, t1):
+    half = 0.5 * sigma2
+    J = half * t1
+    J *= t1
+    J += v0 * t1
+    rest = T - t1
     post = _post_variance(v1, v0 + sigma2 * t1)
-    return (
-        0.5 * sigma2 * t1 * t1
-        + v0 * t1
-        + 0.5 * sigma2 * (T - t1) ** 2
-        + post * (T - t1)
-    )
+    post *= rest
+    rest *= rest
+    rest *= half
+    J += rest
+    J += post
+    return J
 
 
 def _cost_two_lattice(sigma2, T, v0, v1, v2, t1, t2):
+    half = 0.5 * sigma2
     gap = t2 - t1
     g1 = _post_variance(v1, v0 + sigma2 * t1)
-    g2 = _post_variance(v2, g1 + sigma2 * gap)
-    return (
-        0.5 * sigma2 * t1 * t1
-        + v0 * t1
-        + 0.5 * sigma2 * gap ** 2
-        + g1 * gap
-        + 0.5 * sigma2 * (T - t2) ** 2
-        + g2 * (T - t2)
-    )
+    pre = sigma2 * gap
+    pre += g1
+    g2 = _post_variance(v2, pre)
+    rest = T - t2
+    g2 *= rest
+    J = gap * gap
+    J *= half
+    J += half * t1 * t1 + v0 * t1
+    gap *= g1
+    J += gap
+    J += half * (rest * rest)
+    J += g2
+    return J
 
 
 def _first_min(minima):
     """The (position, cost) pair, out of each block's first minimum in lattice
     order, that one ``np.argmin`` over the whole lattice would pick: the first
-    minimum, or the first NaN."""
+    minimum, or the first NaN; ValueError if it is not finite (overflow)."""
     b = int(np.argmin([cost for _, cost in minima]))
     position, cost = minima[b]
+    if not np.isfinite(cost):
+        raise ValueError(f"the lattice cost overflows: its minimum is {cost}")
     return position, float(cost)
 
 
+@np.errstate(all="ignore")  # _first_min rejects an overflowing lattice cost
 def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracleResult:
     """Exhaustive search of the one-measurement cost over a t1 lattice,
     followed by a golden-section refinement inside the winning cells.
@@ -288,8 +294,7 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
         minima.append((k0 + k, Jb[k]))
     k, best_J = _first_min(minima)
     best_t = float(t[k])
-    lo = float(t[max(0, k - 1)])
-    hi = float(t[min(len(t) - 1, k + 1)])
+    lo, hi = float(t[max(0, k - 1)]), float(t[min(len(t) - 1, k + 1)])
     refined = False
     if hi > lo:
         cand = golden_section_min(
@@ -338,7 +343,8 @@ def _block_nodes(i0, Jb, above, below, nodes, tol=1e-12):
         ok[0, :] &= Jb[0, :] <= above + tol
     if below is not None:
         ok[-1, k:] &= Jb[-1, k:] <= below + tol
-    for (a, b), cost in zip(np.argwhere(ok).tolist(), Jb[ok].tolist()):
+    rows, cols = np.divmod(np.flatnonzero(ok), ok.shape[1])
+    for a, b, cost in zip(rows.tolist(), cols.tolist(), Jb[ok].tolist()):
         nodes[a + i0, b + i0] = cost
     return Jb[-1, k:].copy()
 
@@ -368,6 +374,7 @@ def _merge_touching(nodes: dict[tuple[int, int], float]) -> list[tuple[int, int]
     return reps
 
 
+@np.errstate(all="ignore")  # _first_min rejects overflow; cells below t1 <= t2 are masked
 def grid_oracle_2(
     params: ModelParams, sensors: Sequence[float], step: float
 ) -> GridOracleResult:
@@ -414,9 +421,7 @@ def grid_oracle_2(
 
     # coordinatewise golden refinement around the winning node; each move is
     # kept only if it strictly improves, so exact boundary optima stay put
-    refined = False
-    x1, x2 = best
-    val = best_J
+    (x1, x2), val = best, best_J
     for _ in range(8):
         moved = 0.0
         lo1, hi1 = max(0.0, x1 - step), min(x2, x1 + step)
@@ -435,14 +440,9 @@ def grid_oracle_2(
                 x2, val = cand, cand_J
         if moved < 1e-9:
             break
-    if val < best_J:
+    refined = val < best_J
+    if refined:
         best, best_J = (x1, x2), val
-        refined = True
 
-    return GridOracleResult(
-        argmin=best,
-        min_value=best_J,
-        grid_step=step,
-        refined=refined,
-        lattice_cwlms=cwlms,
-    )
+    return GridOracleResult(argmin=best, min_value=best_J, grid_step=step, refined=refined,
+                            lattice_cwlms=cwlms)

@@ -1,16 +1,24 @@
 """Randomized property suites shared between the module tests and the
-acceptance suite (which runs them at full sample counts), and a deadline for
-calls that must end."""
+acceptance suite (which runs them at full sample counts), a deadline for
+calls that must end, and the central difference they check slopes with."""
 
 from __future__ import annotations
 
 import math
 import signal
 from contextlib import contextmanager
+from typing import Callable
 
 import numpy as np
 
-from bmsched import numerics, one_measure, two_measure
+from bmsched import one_measure, two_measure
+
+
+def finite_diff(f: Callable[[float], float], x: float, h: float) -> float:
+    """Central difference (f(x+h) - f(x-h)) / (2h)."""
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h}")
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def check_one_measure_shape_properties(n_samples: int, seed: int = 7) -> None:
@@ -96,7 +104,7 @@ def check_one_measure_derivative(n_points: int, seed: int = 13) -> None:
         v1 = float(rng.uniform(0.0, 4.0))
         t1 = float(rng.uniform(2 * h, T - 2 * h))
         exact = one_measure.cost_derivative(sigma2, T, v0, v1, t1)
-        approx = numerics.finite_diff(
+        approx = finite_diff(
             lambda u: one_measure.cost_single(sigma2, T, v0, v1, u), t1, h
         )
         assert abs(exact - approx) < 1e-5
@@ -118,7 +126,7 @@ def check_two_measure_derivative(n_points: int, seed: int = 17) -> None:
         t2 = float(rng.uniform(0.3 * T, T - 2 * h))
         t1 = float(rng.uniform(2 * h, t2 - 2 * h))
         exact = two_measure.cost_derivative_t1(sigma2, T, v0, v1, v2, t1, t2)
-        approx = numerics.finite_diff(
+        approx = finite_diff(
             lambda u: two_measure.cost_pair(sigma2, T, v0, v1, v2, u, t2), t1, h
         )
         assert abs(exact - approx) < 1e-5

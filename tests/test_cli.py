@@ -263,6 +263,28 @@ def test_oracle_check_two(capsys):
     assert doc["max_discrepancy"] < 4e-3
 
 
+def test_oracle_check_rejects_an_overflowing_lattice(capsys, monkeypatch):
+    """A trial whose lattice cost overflows is a domain error (exit 3), not a
+    NaN discrepancy.  oracle-check draws sigma2 in [0.5, 2], so the draws are
+    replaced: sigma2 = 1e308 and every other parameter at the top of its range."""
+
+    class Draws:
+        def __init__(self, seed):
+            self.first = True
+
+        def uniform(self, lo, hi):
+            value = 1e308 if self.first else hi
+            self.first = False
+            return value
+
+    monkeypatch.setattr(cli.np.random, "default_rng", Draws)
+    for kind in ("one", "two"):
+        assert run(["oracle-check", "--kind", kind, "--trials", "1"]) == 3, kind
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lattice cost overflows" in captured.err
+
+
 def test_nonpositive_tolerance_is_usage_error(capsys):
     status = run(
         ["optimize2", "--sigma2", "1", "--T", "2", "--v0", "1", "--v1", "1",

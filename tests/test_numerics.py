@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import _golden
-from _props import deadline
+from _props import deadline, finite_diff
 from bmsched import numerics
 from bmsched.kalman import ModelParams
 from bmsched.numerics import (
@@ -12,7 +13,6 @@ from bmsched.numerics import (
     RootBudgetExceeded,
     bisect_root,
     brent_root,
-    finite_diff,
     golden_section_min,
     grid_oracle_1,
     grid_oracle_2,
@@ -318,6 +318,62 @@ def test_grid_oracle_1_memory_is_about_the_lattice():
     n = 300_001
     peak = _traced_peak(grid_oracle_1, ModelParams(1.3, 3.0, 1.0), 1.0, 1e-5)
     assert peak <= 2.5 * 8 * n
+
+
+@pytest.mark.parametrize("v0", [0.0, 0.7])
+@pytest.mark.parametrize(
+    "sensors", [(0.9, 1.3), (0.0, 1.3), (0.9, 0.0), (math.inf, 1.3), (0.9, math.inf),
+                (math.inf, math.inf), (0.0, math.inf)]
+)
+def test_lattice_kernels_round_as_on_one_cells_floats(v0, sensors):
+    """Both cost kernels, written in place on a block, give every cell the
+    bits they give on that cell's Python floats, which is what the oracles'
+    refinement compares lattice costs with.  The lattice starts at 0, so the
+    pre-measurement variance v0 + sigma2*t1 is 0 on its first row at v0 = 0."""
+    rng = np.random.default_rng(16)
+    sigma2, T = 1.7, 2.3
+    v1, v2 = sensors
+    t = np.sort(rng.uniform(0.0, T, 160))
+    t[0], t[-1] = 0.0, T
+    rows, cols = t[:70, None], t[None, 70:]  # every cell has t1 <= t2
+    block = numerics._cost_two_lattice(sigma2, T, v0, v1, v2, rows, cols)
+    assert np.isfinite(block).all()
+    for (i, j), cost in np.ndenumerate(block):
+        cell = numerics._cost_two_lattice(sigma2, T, v0, v1, v2, float(t[i]), float(t[70 + j]))
+        assert float(cost).hex() == cell.hex(), (i, j)
+    line = numerics._cost_one_lattice(sigma2, T, v0, v1, t)
+    for k, cost in enumerate(line):
+        assert float(cost).hex() == numerics._cost_one_lattice(sigma2, T, v0, v1, float(t[k])).hex()
+
+
+def test_grid_oracles_leave_their_lattice_unchanged(monkeypatch):
+    """The kernels overwrite their temporaries, never the lattice they read."""
+    lattices = []
+
+    def recorded(T, step):
+        t = lattice(T, step)
+        lattices.append((t, t.copy()))
+        return t
+
+    lattice = numerics._lattice
+    monkeypatch.setattr(numerics, "_lattice", recorded)
+    params = ModelParams(1.3, 1.7, 0.0)
+    for sensors in [(0.9, 1.3), (0.0, 0.0), (math.inf, math.inf)]:
+        grid_oracle_2(params, sensors, step=1e-2)
+        grid_oracle_1(params, sensors[0], step=1e-3)
+    assert len(lattices) == 6
+    for t, before in lattices:
+        assert np.array_equal(t, before)
+
+
+def test_grid_oracles_reject_an_overflowing_lattice():
+    # sigma2*t overflows, so the lattice costs are inf or NaN (v*inf/(v + inf))
+    with pytest.raises(ValueError, match="lattice cost overflows"):
+        grid_oracle_1(ModelParams(1e308, 3.0, 1.0), 1.0, step=1e-4)
+    with pytest.raises(ValueError, match="lattice cost overflows"):
+        grid_oracle_2(ModelParams(1e308, 3.0, 1.0), (1.0, 1.0), step=1e-2)
+    # finite costs near the top of the float range still give an answer
+    assert math.isfinite(grid_oracle_2(ModelParams(1e300, 3.0, 1.0), (1.0, 1.0), 1e-2).min_value)
 
 
 def test_grid_oracle_input_validation():

@@ -69,9 +69,9 @@ class SensorSet:
     variances: tuple[float, ...]
 
     def __init__(self, variances: Sequence[float]):
-        object.__setattr__(self, "variances", tuple(float(v) for v in variances))
+        object.__setattr__(self, "variances", tuple(map(float, variances)))
         for v in self.variances:
-            if math.isnan(v) or v < 0:
+            if not v >= 0:  # also rejects NaN
                 raise ValueError(f"sensor variances must be >= 0 (or inf), got {v}")
 
     def __len__(self) -> int:
@@ -86,10 +86,10 @@ class Schedule:
     instants: tuple[float, ...]
 
     def __init__(self, instants: Sequence[float]):
-        object.__setattr__(self, "instants", tuple(float(t) for t in instants))
+        object.__setattr__(self, "instants", tuple(map(float, instants)))
         prev = 0.0
         for t in self.instants:
-            if math.isnan(t) or t < prev:
+            if not t >= prev:  # also rejects NaN
                 raise ValueError(
                     f"instants must be nondecreasing and >= 0, got {self.instants}"
                 )
@@ -242,14 +242,27 @@ def variance_profile(
 def cost(params: ModelParams, sensors: SensorSet, sched: Schedule) -> CostBreakdown:
     """Integral of v(t) over the horizon.
 
-    Each segment contributes a rectangle (start variance times duration) and a
-    triangle (sigma2 * duration^2 / 2).
+    Each segment of :func:`variance_profile` contributes a rectangle (start
+    variance times duration) and a triangle (sigma2 * duration^2 / 2).  One
+    walk over the schedule steps the posterior and sums both areas, segment
+    by segment in time order, so the result rounds exactly as the segment sum
+    over ``variance_profile(...).segments`` does.
     """
-    profile = variance_profile(params, sensors, sched)
+    _check_inputs(params, sensors, sched)
+    sigma2 = params.sigma2
     tri = 0.0
     rect = 0.0
-    for seg in profile.segments:
-        dt = seg.end_time - seg.start_time
-        tri += 0.5 * params.sigma2 * dt * dt
-        rect += seg.start_variance * dt
+    start_t, start_v = 0.0, params.prior_variance
+    for t, v in zip(sched.instants, sensors.variances):
+        if t > start_t:
+            dt = t - start_t
+            tri += 0.5 * sigma2 * dt * dt
+            rect += start_v * dt
+        pre = start_v + sigma2 * (t - start_t)
+        # SensorSet, ModelParams and Schedule make both operands >= 0
+        start_t, start_v = t, _parallel_sum(v, pre)
+    if params.horizon > start_t:
+        dt = params.horizon - start_t
+        tri += 0.5 * sigma2 * dt * dt
+        rect += start_v * dt
     return CostBreakdown(total=tri + rect, triangular=tri, rectangular=rect)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,39 @@ def test_posterior_sequence_validation():
         ModelParams(0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "variances, shown",
+    [([1.0, math.nan], "nan"), ([-0.1], "-0.1"), ([0.5, -math.inf], "-inf")],
+)
+def test_sensor_set_rejects_negative_and_nan(variances, shown):
+    message = f"sensor variances must be >= 0 (or inf), got {shown}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SensorSet(variances)
+
+
+@pytest.mark.parametrize(
+    "instants", [[0.5, 0.2], [math.nan], [0.1, math.nan, 0.3], [-0.1]]
+)
+def test_schedule_rejects_decreasing_negative_and_nan(instants):
+    message = f"instants must be nondecreasing and >= 0, got {tuple(instants)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Schedule(instants)
+
+
+@pytest.mark.parametrize(
+    "make", [list, tuple, np.array, lambda xs: (x for x in xs)],
+    ids=["list", "tuple", "ndarray", "generator"],
+)
+def test_constructors_store_tuples_of_python_floats(make):
+    sensors = SensorSet(make([0.0, 1, math.inf, 2.5]))
+    sched = Schedule(make([0, 0.0, 0.5, 0.5, 1]))
+    assert sensors.variances == (0.0, 1.0, math.inf, 2.5)
+    assert sched.instants == (0.0, 0.0, 0.5, 0.5, 1.0)
+    for stored in (sensors.variances, sched.instants):
+        assert type(stored) is tuple
+        assert all(type(x) is float for x in stored)
+
+
 def test_profile_matches_figure_geometry():
     # drop levels and breakpoints of the equal-sensor profile
     params = ModelParams(1.0, 1.0, 0.5)
@@ -154,6 +188,74 @@ def _random_case(rng, n):
     instants = np.sort(rng.uniform(0.0, params.horizon, size=n))
     sensors = rng.uniform(0.01, 5.0, size=n)
     return params, SensorSet(sensors), Schedule(instants)
+
+
+def _segment_sum(params, sensors, sched):
+    # the integral as the sum over variance_profile's segments, in time order
+    tri = 0.0
+    rect = 0.0
+    for seg in variance_profile(params, sensors, sched).segments:
+        dt = seg.end_time - seg.start_time
+        tri += 0.5 * params.sigma2 * dt * dt
+        rect += seg.start_variance * dt
+    return CostBreakdown(total=tri + rect, triangular=tri, rectangular=rect)
+
+
+def _scaled_edge_case(rng, n):
+    # time and variance scales at 10^U(-8, 8); some instants moved to 0, to
+    # the horizon or onto their neighbour, some sensors made 0 or inf
+    tau = 10.0 ** rng.uniform(-8.0, 8.0)
+    scale = 10.0 ** rng.uniform(-8.0, 8.0)
+    horizon = tau * float(rng.uniform(0.3, 4.0))
+    params = ModelParams(
+        scale / tau * float(rng.uniform(0.2, 3.0)),
+        horizon,
+        scale * float(rng.choice([0.0, rng.uniform(0.0, 3.0)])),
+    )
+    instants = sorted(float(t) for t in rng.uniform(0.0, horizon, size=n))
+    for k in range(n):
+        roll = rng.uniform()
+        if roll < 0.1:
+            instants[k] = 0.0
+        elif roll < 0.2:
+            instants[k] = horizon
+        elif roll < 0.35 and k > 0:
+            instants[k] = instants[k - 1]
+    variances = [scale * float(v) for v in rng.uniform(0.01, 5.0, size=n)]
+    for k in range(n):
+        roll = rng.uniform()
+        if roll < 0.1:
+            variances[k] = 0.0
+        elif roll < 0.2:
+            variances[k] = math.inf
+    return params, SensorSet(variances), Schedule(sorted(instants))
+
+
+def _bits(breakdown):
+    return tuple(
+        float.hex(x)
+        for x in (breakdown.total, breakdown.triangular, breakdown.rectangular)
+    )
+
+
+def test_cost_rounds_as_the_profile_segment_sum():
+    rng = np.random.default_rng(17)
+    cases = [
+        (ModelParams(1.0, 1.0, 0.5), SensorSet([]), Schedule([])),
+        (ModelParams(1e-8, 1e8, 0.0), SensorSet([]), Schedule([])),
+        (ModelParams(1.0, 1.0, 0.5), SensorSet([1.0, 0.0]), Schedule([0.0, 1.0])),
+        (
+            ModelParams(1.3, 2.0, 0.7),
+            SensorSet([math.inf, 1.0, 0.0, math.inf]),
+            Schedule([0.0, 0.5, 0.5, 2.0]),
+        ),
+    ]
+    for n in range(17):
+        cases += [_scaled_edge_case(rng, n) for _ in range(20)]
+    for params, sensors, sched in cases:
+        assert _bits(cost(params, sensors, sched)) == _bits(
+            _segment_sum(params, sensors, sched)
+        ), (params, sensors, sched)
 
 
 def test_closed_form_cost_equals_profile_integral():

@@ -176,14 +176,14 @@ def _parallel_sum(a: float, b: float) -> float:
 
 def equivalent_sensor_variance(variances: Sequence[float]) -> float:
     """Noise variance of activating several sensors simultaneously (left fold
-    of :func:`parallel_sum`)."""
-    if len(variances) == 0:
+    of :func:`parallel_sum`); every entry is validated as a :class:`SensorSet`
+    entry."""
+    entries = SensorSet(variances).variances
+    if not entries:
         raise ValueError("variances must be non-empty")
-    acc = float(variances[0])
-    if math.isnan(acc) or acc < 0:
-        raise ValueError(f"sensor variances must be >= 0 (or inf), got {acc}")
-    for v in variances[1:]:
-        acc = parallel_sum(acc, float(v))
+    acc = entries[0]
+    for v in entries[1:]:
+        acc = _parallel_sum(acc, v)
     return acc
 
 
@@ -199,23 +199,9 @@ def _check_inputs(params: ModelParams, sensors: SensorSet, sched: Schedule) -> N
 def posterior_variance_sequence(
     params: ModelParams, sensors: SensorSet, sched: Schedule
 ) -> list[float]:
-    """Post-measurement variances, one per instant.
-
-    Starting from the prior variance, the pre-measurement variance at t_k is
-    the previous posterior plus sigma2 times the elapsed time, and the
-    posterior is its parallel sum with the sensor variance v_k.
-    """
-    _check_inputs(params, sensors, sched)
-    out = []
-    var = params.prior_variance
-    prev_t = 0.0
-    for t, v in zip(sched.instants, sensors.variances):
-        pre = var + params.sigma2 * (t - prev_t)
-        # SensorSet, ModelParams and Schedule make both operands >= 0
-        var = _parallel_sum(v, pre)
-        out.append(var)
-        prev_t = t
-    return out
+    """Post-measurement variances, one per instant (the
+    ``post_measure_variances`` of :func:`variance_profile`)."""
+    return list(variance_profile(params, sensors, sched).post_measure_variances)
 
 
 def variance_profile(
@@ -223,17 +209,25 @@ def variance_profile(
 ) -> VarianceProfile:
     """Full piecewise-linear v(t) on [0, horizon].
 
-    Zero-length gaps (a measurement at 0, coincident instants, a measurement
-    exactly at the horizon) produce no segment of their own; the drops they
-    cause still appear in ``post_measure_variances``.
+    Starting from the prior variance, the pre-measurement variance at t_k is
+    the previous posterior plus sigma2 times the elapsed time, and the
+    posterior is its parallel sum with the sensor variance v_k; one walk over
+    the schedule steps the posterior and closes each segment.  Zero-length
+    gaps (a measurement at 0, coincident instants, a measurement exactly at
+    the horizon) produce no segment of their own; the drops they cause still
+    appear in ``post_measure_variances``.
     """
-    posts = posterior_variance_sequence(params, sensors, sched)
+    _check_inputs(params, sensors, sched)
     segments = []
+    posts = []
     start_t, start_v = 0.0, params.prior_variance
-    for t, post in zip(sched.instants, posts):
+    for t, v in zip(sched.instants, sensors.variances):
         if t > start_t:
             segments.append(ProfileSegment(start_t, t, start_v))
-        start_t, start_v = t, post
+        pre = start_v + params.sigma2 * (t - start_t)
+        # SensorSet, ModelParams and Schedule make both operands >= 0
+        start_t, start_v = t, _parallel_sum(v, pre)
+        posts.append(start_v)
     if params.horizon > start_t:
         segments.append(ProfileSegment(start_t, params.horizon, start_v))
     return VarianceProfile(params.sigma2, tuple(segments), tuple(posts))
@@ -246,7 +240,8 @@ def cost(params: ModelParams, sensors: SensorSet, sched: Schedule) -> CostBreakd
     variance times duration) and a triangle (sigma2 * duration^2 / 2).  One
     walk over the schedule steps the posterior and sums both areas, segment
     by segment in time order, so the result rounds exactly as the segment sum
-    over ``variance_profile(...).segments`` does.
+    over ``variance_profile(...).segments`` does.  An overflowing total raises
+    ``ValueError``.
     """
     _check_inputs(params, sensors, sched)
     sigma2 = params.sigma2
@@ -265,4 +260,7 @@ def cost(params: ModelParams, sensors: SensorSet, sched: Schedule) -> CostBreakd
         dt = params.horizon - start_t
         tri += 0.5 * sigma2 * dt * dt
         rect += start_v * dt
-    return CostBreakdown(total=tri + rect, triangular=tri, rectangular=rect)
+    total = tri + rect
+    if not math.isfinite(total):
+        raise ValueError(f"the cost overflows: its total is {total}")
+    return CostBreakdown(total=total, triangular=tri, rectangular=rect)

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .kalman import _check_domain, _check_positive, _parallel_sum, parallel_sum
+from .kalman import _check_domain, _check_positive, _parallel_sum
 
 __all__ = [
     "Regime",
@@ -217,7 +217,7 @@ def lower_bound(sigma2: float, T: float, v0: float, v1: float) -> float:
     below the cost of every schedule."""
     _check_positive(sigma2=sigma2, T=T)
     _check_domain(v0=v0, v1=v1)
-    return math.sqrt(sigma2 * parallel_sum(v0, v1) * T**3)
+    return math.sqrt(sigma2 * _parallel_sum(v0, v1) * T**3)
 
 
 def upper_bound(sigma2: float, T: float, v0: float) -> float:
@@ -257,8 +257,8 @@ def window_map(sigma2: float, T: float, v1: float, v0: float) -> float:
     _check_positive(sigma2=sigma2, T=T)
     _check_domain(v1=v1, v0=v0)
     if v0 < window_v0_crit(sigma2, T, v1):
-        t_opt = optimal_instant_1(sigma2, T, v0, v1).t_opt
-        post = parallel_sum(v1, v0 + sigma2 * t_opt)
+        t_opt = _optimal_instant(sigma2, T, v0, v1)[0]
+        post = _parallel_sum(v1, v0 + sigma2 * t_opt)
         return post + sigma2 * (T - t_opt)
     if math.isinf(v1):
         return v0 + sigma2 * T
@@ -283,7 +283,7 @@ def iterate_windows(
     instants = []
     for _ in range(max_windows):
         v = v_seq[-1]
-        instants.append(optimal_instant_1(sigma2, T, v, v1).t_opt)
+        instants.append(_optimal_instant(sigma2, T, v, v1)[0])
         v_seq.append(window_map(sigma2, T, v1, v))
     settled: int | None = None
     for k in range(len(instants) - 1, -1, -1):

@@ -14,15 +14,18 @@ In regime 3 the optimum solves a two-equation stationarity system.
 ``optimize_two`` solves it in dimensionless units (u = t/T, a_k =
 v_k/(sigma2*T)) as one root: for a fixed first instant the best second one is
 closed-form, so the optimal u1 is the single sign change of the t1 slope
-along that curve, which Brent's method finds in about 8 slope evaluations.
-``descend_two`` keeps the paper's algorithm as the reference: coordinate
-descent whose t1 line searches root the t1 slope by Brent's method, always
-cross-checked against that reduced root.  It returns the descent's trace.
+along that curve.  ``descend_two`` keeps the paper's algorithm as the
+reference: coordinate descent whose t1 line searches find the sign change of
+the t1 slope on [0, t2], always cross-checked against that reduced root.  It
+returns the descent's trace.  Both find a sign change the same way: the
+slope at the two ends of the interval first, then Brent's method on the
+bracket they give, in about 8 slope evaluations.
 
-The public functions validate their arguments.  The optimizers validate once
-on entry; their inner loops then call unchecked bodies (``_cost_pair``,
-``_optimal_gap``, ``_critical_spacing`` and the one-measure and parallel-sum
-bodies they use) with the same arithmetic, so they return the same bits.
+Each public function validates its own arguments, under their own names, and
+then calls unchecked bodies (``_cost_pair``, ``_optimal_gap``,
+``_critical_spacing`` and the one-measure and parallel-sum bodies they use).
+The optimizers validate once on entry, and their inner loops call only these
+bodies, with the same arithmetic, so they return the same bits.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .kalman import _check_domain, _check_finite, _check_positive
-from .kalman import _parallel_sum, parallel_sum
+from .kalman import _check_domain, _check_finite, _check_positive, _parallel_sum
 from .numerics import brent_root
 from .one_measure import _critical_duration_1, _duration_from_instant, _noise_ratio
-from .one_measure import _optimal_instant, optimal_instant_1
+from .one_measure import _optimal_instant
 
 __all__ = [
     "TwoMeasureRegime",
@@ -81,7 +83,7 @@ class CubicCoeffs:
 # largest allowed distance, in t1 or t2, between the descent and the reduced
 # regime-3 root
 _CROSS_CHECK_TOL = 1e-5
-# bracket width, in u = t1/T, of the reduced regime-3 root
+# bracket width of the root of a slope on [0, hi], relative to max(1, hi)
 _ROOT_TOL = 1e-13
 
 
@@ -183,39 +185,42 @@ def _t1_slope_factor(
     return g - (1.0 + ratio) * sigma2 * inner
 
 
-def _line_search_t1(
-    sigma2: float, T: float, v0: float, v1: float, v2: float, t2: float
-) -> float:
-    """Minimize t1 -> cost over [0, t2] as the sign change of the t1 slope.
-
-    The cost is quasi-convex in t1 (its slope, a nonnegative prefactor times
-    :func:`_t1_slope_factor`, changes sign at most once, from - to +), so the
-    minimizer is 0 when the slope at 0 is already >= 0, t2 when the slope at
-    t2 is still <= 0, and otherwise the root of the slope factor, found by
-    Brent's method to a bracket of 1e-13*max(1, t2).  The root is found
-    deterministically, where a search on the cost itself would wander over
-    the region of width ~sqrt(eps*J) in which the cost is flat to float
-    precision.  When t2 = 0 (a horizon so short that the regime-2 instant
-    rounds to 0), 0 is the only point of the interval.
+def _slope_sign_change(slope, hi: float) -> float:
+    """Minimizer over [0, hi] of a function whose slope changes sign at most
+    once, from - to +: 0 when the slope at 0 is already >= 0, hi when the
+    slope at hi is still <= 0, and otherwise the root of ``slope``, found by
+    Brent's method to a bracket of 1e-13*max(1, hi).  The root is found
+    deterministically, where a search on the function itself would wander
+    over the region of width ~sqrt(eps*J) in which it is flat to float
+    precision.  When hi = 0, 0 is the only point of the interval.
     """
-    if t2 == 0.0:
+    if hi == 0.0:
         return 0.0
-
-    def slope(u: float) -> float:
-        return _t1_slope_factor(sigma2, T, v0, v1, v2, u, t2)
-
     s_lo = slope(0.0)
     if s_lo >= 0.0:
         return 0.0
-    s_hi = slope(t2)
+    s_hi = slope(hi)
     if s_hi <= 0.0:
-        return t2
+        return hi
     # Brent's g(lo) and g(hi) are the slopes already in hand
     return brent_root(
-        lambda u: s_lo if u == 0.0 else s_hi if u == t2 else slope(u),
+        lambda u: s_lo if u == 0.0 else s_hi if u == hi else slope(u),
         0.0,
-        t2,
-        tol=1e-13 * max(1.0, t2),
+        hi,
+        tol=_ROOT_TOL * max(1.0, hi),
+    )
+
+
+def _line_search_t1(
+    sigma2: float, T: float, v0: float, v1: float, v2: float, t2: float
+) -> float:
+    """Minimize t1 -> cost over [0, t2].  The cost is quasi-convex in t1 (its
+    slope, a nonnegative prefactor times :func:`_t1_slope_factor`, changes
+    sign at most once, from - to +), so this is the sign change of the slope
+    factor.  t2 is 0 at horizons so short that the regime-2 instant rounds
+    to 0."""
+    return _slope_sign_change(
+        lambda u: _t1_slope_factor(sigma2, T, v0, v1, v2, u, t2), t2
     )
 
 
@@ -317,14 +322,21 @@ def _critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) -
     return _duration_from_instant(sigma2, spacing, _parallel_sum(v0, v1), v2)
 
 
-def _regime(T: float, t2_crit: float, t1_crit: float) -> TwoMeasureRegime:
-    """Regime of horizon T given both critical durations; a horizon exactly
-    equal to a critical duration belongs to the lower regime."""
+def _classify(
+    sigma2: float, T: float, v0: float, v1: float, v2: float
+) -> tuple[TwoMeasureRegime, float, float]:
+    """Validate once, then the regime of horizon T with both critical
+    durations (T2_crit, T1_crit); a horizon exactly equal to a critical
+    duration belongs to the lower regime."""
+    _check_positive(sigma2=sigma2, T=T)
+    _check_finite(v0=v0, v1=v1, v2=v2)
+    t2_crit = _critical_duration_1(sigma2, _parallel_sum(v0, v1), v2)
+    t1_crit = _critical_duration_2_first(sigma2, v0, v1, v2)
     if T <= t2_crit:
-        return TwoMeasureRegime.REGIME1
+        return TwoMeasureRegime.REGIME1, t2_crit, t1_crit
     if T <= t1_crit:
-        return TwoMeasureRegime.REGIME2
-    return TwoMeasureRegime.REGIME3
+        return TwoMeasureRegime.REGIME2, t2_crit, t1_crit
+    return TwoMeasureRegime.REGIME3, t2_crit, t1_crit
 
 
 def classify_regime(
@@ -332,12 +344,7 @@ def classify_regime(
 ) -> TwoMeasureRegime:
     """Regime of the optimal schedule; a horizon exactly equal to a critical
     duration belongs to the lower regime."""
-    _check_positive(sigma2=sigma2, T=T)
-    return _regime(
-        T,
-        critical_duration_2_second(sigma2, v0, v1, v2),
-        critical_duration_2_first(sigma2, v0, v1, v2),
-    )
+    return _classify(sigma2, T, v0, v1, v2)[0]
 
 
 def optimal_gap(
@@ -347,17 +354,16 @@ def optimal_gap(
     (one-measure reduction over the remaining horizon); nonincreasing in t1
     and continued by 0 for t1 >= T."""
     _check_positive(sigma2=sigma2, T=T)
-    _check_domain(t1=t1)
-    if t1 >= T:
-        return 0.0
-    prior = parallel_sum(v0 + sigma2 * t1, v1)
-    return optimal_instant_1(sigma2, T - t1, prior, v2).t_opt
+    _check_domain(t1=t1, v0=v0, v1=v1, v2=v2)
+    return _optimal_gap(sigma2, T, v0, v1, v2, t1)
 
 
 def _optimal_gap(
     sigma2: float, T: float, v0: float, v1: float, v2: float, t1: float
 ) -> float:
-    """:func:`optimal_gap` for validated operands (and 0 <= t1)."""
+    """:func:`optimal_gap` for validated operands.  At t1 = 0 it is t2 of the
+    regime-2 schedule (0, t2): the one-measure optimum for the prior v0 || v1
+    and sensor v2."""
     if t1 >= T:
         return 0.0
     prior = _parallel_sum(v0 + sigma2 * t1, v1)
@@ -370,31 +376,20 @@ def equilibrium_gap(
     """Spacing that makes the first measurement stationary when it happens at
     t1 (critical spacing for the inflated prior v0 + sigma2*t1); strictly
     increasing in t1."""
-    _check_domain(t1=t1)
-    return critical_spacing(sigma2, v0 + sigma2 * t1, v1, v2)
-
-
-def _merged_prior_instant(
-    sigma2: float, T: float, v0: float, v1: float, v2: float
-) -> float:
-    """t2 of the regime-2 schedule (0, t2): the one-measure optimum for the
-    prior v0 || v1 and sensor v2."""
-    return _optimal_instant(sigma2, T, _parallel_sum(v0, v1), v2)[0]
+    _check_positive(sigma2=sigma2)
+    _check_finite(v0=v0, v1=v1, v2=v2, t1=t1)
+    return _critical_spacing(sigma2, v0 + sigma2 * t1, v1, v2)
 
 
 def _solve(sigma2, T, v0, v1, v2, interior) -> TwoMeasureSolution:
     """Validate once, classify once, and solve: closed forms in regimes 1 and
     2, and ``interior(sigma2, T, v0, v1, v2) -> (t1, t2, trace)`` in regime 3."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_finite(v0=v0, v1=v1, v2=v2)
-    t2_crit = _critical_duration_1(sigma2, _parallel_sum(v0, v1), v2)
-    t1_crit = _critical_duration_2_first(sigma2, v0, v1, v2)
-    regime = _regime(T, t2_crit, t1_crit)
+    regime, t2_crit, t1_crit = _classify(sigma2, T, v0, v1, v2)
     trace = None
     if regime is TwoMeasureRegime.REGIME1:
         t1 = t2 = 0.0
     elif regime is TwoMeasureRegime.REGIME2:
-        t1, t2 = 0.0, _merged_prior_instant(sigma2, T, v0, v1, v2)
+        t1, t2 = 0.0, _optimal_gap(sigma2, T, v0, v1, v2, 0.0)
     else:
         t1, t2, trace = interior(sigma2, T, v0, v1, v2)
     return TwoMeasureSolution(
@@ -426,11 +421,7 @@ def _reduced_root(
         gap = _optimal_gap(1.0, 1.0, a0, a1, a2, u)
         return _t1_slope_factor(1.0, 1.0, a0, a1, a2, u, u + gap)
 
-    s0 = slope(0.0)
-    if s0 >= 0.0:
-        u1 = 0.0
-    else:  # Brent's g(lo) is the slope at 0 already in hand
-        u1 = brent_root(lambda u: s0 if u == 0.0 else slope(u), 0.0, 1.0, tol=_ROOT_TOL)
+    u1 = _slope_sign_change(slope, 1.0)
     return u1 * T, (u1 + _optimal_gap(1.0, 1.0, a0, a1, a2, u1)) * T, None
 
 
@@ -442,11 +433,13 @@ def optimize_two(
     The regime comes from comparing T with the two critical durations T2_crit
     and T1_crit (see :func:`classify_regime`), and the solve takes that
     regime's path.  Regime 1 returns (0, 0) and regime 2 returns (0, t2) with
-    t2 the one-measure optimum for the merged prior; both are closed-form.
-    Regime 3 solves the problem in dimensionless units u = t/T, where it
-    reduces to one root: the single sign change, on [0, 1], of the t1 slope
-    along the curve u -> (u, u + optimal_gap(u)), found by Brent's method
-    (:func:`numerics.brent_root`) to a bracket of 1e-13 plus a few ulps.  Its
+    t2 = optimal_gap(0), the one-measure optimum for the merged prior
+    v0 || v1; both are closed-form.  Regime 3 solves the problem in
+    dimensionless units u = t/T, where it reduces to one root: the single
+    sign change, on [0, 1], of the t1 slope along the curve
+    u -> (u, u + optimal_gap(u)), found by Brent's method
+    (:func:`numerics.brent_root`) to a bracket of 1e-13 plus a few ulps, the
+    same bracketed root as the t1 line search of :func:`descend_two`.  Its
     answer is therefore the same fraction of T at every time and variance
     scale, and the loop always ends: past its evaluation budget the root
     raises :class:`numerics.RootBudgetExceeded`, a ``RuntimeError``.  The
@@ -463,7 +456,7 @@ def _descend(
 ) -> tuple[float, float, DescentTrace]:
     """Coordinate descent from the regime-2 schedule, cross-checked against
     the reduced regime-3 root; see :func:`descend_two`."""
-    t2 = _merged_prior_instant(sigma2, T, v0, v1, v2)
+    t2 = _optimal_gap(sigma2, T, v0, v1, v2, 0.0)
     t1 = _line_search_t1(sigma2, T, v0, v1, v2, t2)
     steps = [(t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), math.nan, math.nan)]
     d1 = d2 = math.nan
@@ -512,9 +505,11 @@ def descend_two(
     The reference algorithm.  The regime decision and the closed forms of
     regimes 1 and 2 are those of :func:`optimize_two`.  Regime 3 runs
     coordinate descent from the regime-2 schedule: the t2 update is the
-    one-measure reduction, the t1 update is a line search that roots the t1
-    slope on [0, t2] by Brent's method (the cost is quasi-convex in t1, so
-    its minimizer is that sign change or an end of the interval), and
+    one-measure reduction (:func:`optimal_gap`), the t1 update is a line
+    search that finds the sign change of the t1 slope on [0, t2] with the
+    bracketed Brent root of :func:`optimize_two`, scaled to max(1, t2) (the
+    cost is quasi-convex in t1, so its minimizer is that sign change or an
+    end of the interval), and
     iteration stops when both coordinate steps drop below
     ``options.step_tol``.  The result is always cross-checked against the
     reduced root of :func:`optimize_two`, which solves the same stationarity

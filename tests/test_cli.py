@@ -150,6 +150,16 @@ def test_profile_length_mismatch_is_domain_error(capsys):
     assert "sensors" in capsys.readouterr().err
 
 
+def test_profile_overflowing_cost_is_domain_error(capsys):
+    # the total would print as Infinity, which is not JSON
+    status = run(
+        ["profile", "--sigma2", "1e308", "--T", "3", "--v0", "1",
+         "--sensors", "1", "--instants", "1"]
+    )
+    assert status == 3
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_exit_code_solver_failure(capsys):
     status = run(
         ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1", "--v1", "1",

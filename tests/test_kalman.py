@@ -238,7 +238,8 @@ def _bits(breakdown):
     )
 
 
-def test_cost_rounds_as_the_profile_segment_sum():
+def _seeded_schedules():
+    # 340 schedules at scales 10^U(-8, 8) with edge cases, plus four fixed ones
     rng = np.random.default_rng(17)
     cases = [
         (ModelParams(1.0, 1.0, 0.5), SensorSet([]), Schedule([])),
@@ -252,10 +253,55 @@ def test_cost_rounds_as_the_profile_segment_sum():
     ]
     for n in range(17):
         cases += [_scaled_edge_case(rng, n) for _ in range(20)]
-    for params, sensors, sched in cases:
+    return cases
+
+
+def test_cost_rounds_as_the_profile_segment_sum():
+    for params, sensors, sched in _seeded_schedules():
         assert _bits(cost(params, sensors, sched)) == _bits(
             _segment_sum(params, sensors, sched)
         ), (params, sensors, sched)
+
+
+def _two_pass_profile(params, sensors, sched):
+    # the posteriors in one walk, then the segments from them in a second
+    posts = []
+    var, prev_t = params.prior_variance, 0.0
+    for t, v in zip(sched.instants, sensors.variances):
+        var = parallel_sum(v, var + params.sigma2 * (t - prev_t))
+        posts.append(var)
+        prev_t = t
+    segments = []
+    start_t, start_v = 0.0, params.prior_variance
+    for t, post in zip(sched.instants, posts):
+        if t > start_t:
+            segments.append((start_t, t, start_v))
+        start_t, start_v = t, post
+    if params.horizon > start_t:
+        segments.append((start_t, params.horizon, start_v))
+    return segments, posts
+
+
+def test_profile_walk_rounds_as_the_two_pass_construction():
+    hexes = lambda xs: [float.hex(x) for x in xs]
+    for params, sensors, sched in _seeded_schedules():
+        segments, posts = _two_pass_profile(params, sensors, sched)
+        prof = variance_profile(params, sensors, sched)
+        assert [hexes(seg) for seg in prof.segments] == [
+            hexes(seg) for seg in segments
+        ], (params, sensors, sched)
+        assert hexes(prof.post_measure_variances) == hexes(posts)
+        seq = posterior_variance_sequence(params, sensors, sched)
+        assert hexes(seq) == hexes(posts)
+
+
+def test_cost_raises_when_the_total_overflows():
+    params = ModelParams(1e308, 3.0, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        cost(params, SensorSet([1.0]), Schedule([1.0]))
+    # the largest finite totals still come back
+    params = ModelParams(1e307, 3.0, 1.0)
+    assert math.isfinite(cost(params, SensorSet([]), Schedule([])).total)
 
 
 def test_closed_form_cost_equals_profile_integral():

@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import _golden
 from _props import check_two_measure_derivative, deadline, draw_two_measure_instance
-from bmsched import numerics, one_measure, two_measure
+from bmsched import kalman, numerics, one_measure, two_measure
 from bmsched.kalman import ModelParams, parallel_sum
 from bmsched.two_measure import (
     DescentOptions,
@@ -523,6 +525,62 @@ def test_domain_errors():
         optimize_two(1.0, 1.0, 1.0, math.inf, 1.0)
     with pytest.raises(ValueError):
         cubic_coeffs(1.0, -0.1, 1.0)
+
+
+# a valid call of every public function of kalman, one_measure and
+# two_measure that takes scalars or sequences of them; t1 = 2 lets
+# sigma2*t1 outweigh a negative v0 where the two are summed
+_VALID_CALLS = [
+    (kalman.ModelParams, (1.0, 3.0, 1.0)),
+    (kalman.SensorSet, ([1.0, 1.0],)),
+    (kalman.Schedule, ([0.5, 1.0],)),
+    (kalman.parallel_sum, (1.0, 1.0)),
+    (kalman.equivalent_sensor_variance, ([1.0, 1.0],)),
+    (one_measure.cost_single, (1.0, 3.0, 1.0, 1.0, 2.0)),
+    (one_measure.cost_derivative, (1.0, 3.0, 1.0, 1.0, 2.0)),
+    (one_measure.critical_duration_1, (1.0, 1.0, 1.0)),
+    (one_measure.optimal_instant_1, (1.0, 3.0, 1.0, 1.0)),
+    (one_measure.duration_from_instant, (1.0, 2.0, 1.0, 1.0)),
+    (one_measure.lower_bound, (1.0, 3.0, 1.0, 1.0)),
+    (one_measure.upper_bound, (1.0, 3.0, 1.0)),
+    (one_measure.window_v0_crit, (1.0, 3.0, 1.0)),
+    (one_measure.window_v0_stationary, (1.0, 3.0, 1.0)),
+    (one_measure.window_map, (1.0, 3.0, 1.0, 1.0)),
+    (one_measure.iterate_windows, (1.0, 3.0, 1.0, 1.0, 3)),
+    (cost_pair, (1.0, 3.0, 1.0, 1.0, 1.0, 2.0, 2.5)),
+    (cost_derivative_t1, (1.0, 3.0, 1.0, 1.0, 1.0, 2.0, 2.5)),
+    (cubic_coeffs, (1.0, 1.0, 1.0)),
+    (critical_spacing, (1.0, 1.0, 1.0, 1.0)),
+    (critical_duration_2_second, (1.0, 1.0, 1.0, 1.0)),
+    (critical_duration_2_first, (1.0, 1.0, 1.0, 1.0)),
+    (classify_regime, (1.0, 3.0, 1.0, 1.0, 1.0)),
+    (optimal_gap, (1.0, 3.0, 1.0, 1.0, 1.0, 2.0)),
+    (equilibrium_gap, (1.0, 1.0, 1.0, 1.0, 2.0)),
+    (optimize_two, (1.0, 3.0, 1.0, 1.0, 1.0)),
+    (descend_two, (1.0, 3.0, 1.0, 1.0, 1.0)),
+]
+
+
+def _bad_argument_cases():
+    for fn, args in _VALID_CALLS:
+        names = list(inspect.signature(fn).parameters)
+        for k, arg in enumerate(args):
+            if isinstance(arg, int):  # a count, not a variance or an instant
+                continue
+            for bad in (-1.0, math.nan):
+                # a sequence gets the bad value as its last entry
+                value = arg[:-1] + [bad] if isinstance(arg, list) else bad
+                yield pytest.param(
+                    fn, args, args[:k] + (value,) + args[k + 1:], names[k],
+                    id=f"{fn.__name__}-{names[k]}-{bad}",
+                )
+
+
+@pytest.mark.parametrize("fn, valid, args, name", list(_bad_argument_cases()))
+def test_every_argument_is_validated_under_its_own_name(fn, valid, args, name):
+    fn(*valid)
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        fn(*args)
 
 
 def test_golden_solutions_are_bit_identical():

@@ -264,12 +264,12 @@ def test_regime_label_and_solve_path_agree_at_first_critical_duration():
     # The regime label and the path the solve takes (closed form or descent)
     # come from one comparison of T with T1_crit, including within rounding
     # of it; a horizon equal to T1_crit belongs to regime 2.  Here T1_crit is
-    # 7/6 exactly, which rounds to 1.1666666666666665, one ulp below
-    # fl(7/6): the label is regime 3, and the regime-3 root is u1 = 0.
+    # 7/6 exactly, and the cancellation-free duration gives fl(7/6): the
+    # label is regime 2, with t1 = 0.
     sol = optimize_two(1.0, 7.0 / 6.0, 1.0, 1.0, 1.0)
-    assert sol.T1_crit < 7.0 / 6.0
+    assert sol.T1_crit == 7.0 / 6.0
     assert sol.regime is classify_regime(1.0, 7.0 / 6.0, 1.0, 1.0, 1.0)
-    assert sol.regime is TwoMeasureRegime.REGIME3
+    assert sol.regime is TwoMeasureRegime.REGIME2
     assert sol.t1_opt == 0.0
 
     rng = np.random.default_rng(41)

@@ -29,7 +29,7 @@ __all__ = [
     "GridOracleResult",
     "golden_section_min",
     "bisect_root",
-    "brent_root",
+    "bracketed_root",
     "RootBudgetExceeded",
     "grid_oracle_1",
     "grid_oracle_2",
@@ -123,83 +123,81 @@ def bisect_root(g: Callable[[float], float], lo: float, hi: float, tol: float) -
 
 
 class RootBudgetExceeded(RuntimeError):
-    """:func:`brent_root` used up ``BRENT_MAX_EVALUATIONS`` without meeting
-    its tolerance."""
+    """:func:`bracketed_root` spent its evaluations without meeting its tol."""
 
 
-# evaluations brent_root may spend inside its bracket: a simple root of a smooth
-# function takes about ten, a triple root on [0, 1] to 1e-13 about 110 (its
-# interpolation steps shrink the bracket slowly), and bisection there 44
-BRENT_MAX_EVALUATIONS = 200
+# evaluations bracketed_root may spend inside its bracket: a simple root of a
+# smooth function takes about five, and a triple root, a step or a kink on
+# [0, 1] to 1e-13 at most about 55 (bisection there takes 44)
+ROOT_MAX_EVALUATIONS = 200
 _EPS = math.ulp(1.0)
 
 
-def brent_root(g: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of a sign-changing function by Brent's method, to within tol.
+def bracketed_root(
+    g: Callable[[float], float], lo: float, hi: float, g_lo: float, g_hi: float, tol: float
+) -> float:
+    """Root of g on [lo, hi] by Chandrupatla's method, to within tol, given
+    g_lo = g(lo) and g_hi = g(hi) of opposite signs.
 
-    Each step takes the inverse quadratic (or secant) interpolation of the
-    last three points when it lands well inside the bracket and shrinks it
-    fast enough, and a bisection step otherwise (R. P. Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4).  The returned point b
-    ends one side of a sign-change bracket no wider than tol + 4*eps*|b|, or
-    is an exact zero of g.  Beyond ``BRENT_MAX_EVALUATIONS`` evaluations
+    The first step is the secant of the two ends; each later one takes the
+    inverse quadratic interpolation of the bracket's ends and the end it
+    dropped last where Chandrupatla's test finds it monotone, and bisects
+    otherwise, at least tol/2 + 2*eps*|x| inside the bracket (T. R.
+    Chandrupatla, *Advances in Engineering Software* 28 (1997) 145-149).
+    It returns an exact zero of g, or one end of a sign-change bracket no
+    wider than tol + 4*eps*|x|; beyond ``ROOT_MAX_EVALUATIONS`` evaluations
     inside [lo, hi] it raises :class:`RootBudgetExceeded`.
     """
     if not lo < hi:
-        raise ValueError(f"brent_root needs lo < hi, got [{lo}, {hi}]")
+        raise ValueError(f"bracketed_root needs lo < hi, got [{lo}, {hi}]")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    a, b = lo, hi
-    fa, fb = g(a), g(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    # signs, not the sign of fa*fb, which underflows to 0 for tiny values
-    if (fa > 0) == (fb > 0):
-        raise ValueError(f"brent_root needs a sign change, got g(lo)={fa}, g(hi)={fb}")
-    # b is the best point so far, c the other end of the bracket, a the
-    # previous b; d is the last step and e the one before it
-    c, fc = a, fa
-    d = e = b - a
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    # signs, not the sign of g_lo*g_hi, which underflows to 0 for tiny values
+    if (g_lo > 0) == (g_hi > 0):
+        raise ValueError(
+            f"bracketed_root needs a sign change, got g(lo)={g_lo}, g(hi)={g_hi}"
+        )
+    # a is the newest point, b the other end of the bracket, c the end dropped last
+    a, fa, b, fb = lo, g_lo, hi, g_hi
+    t = fa / (fa - fb)
     evaluations = 0
     while True:
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if evaluations == BRENT_MAX_EVALUATIONS:
+        best = a if abs(fa) < abs(fb) else b
+        tol1 = 2.0 * _EPS * abs(best) + 0.5 * tol
+        width = abs(b - a)
+        if width <= 2.0 * tol1:
+            return best
+        if evaluations == ROOT_MAX_EVALUATIONS:
             raise RootBudgetExceeded(
-                f"brent_root did not reach tol={tol} within {BRENT_MAX_EVALUATIONS} "
-                f"evaluations (bracket [{min(b, c)}, {max(b, c)}])"
+                f"bracketed_root did not reach tol={tol} within {ROOT_MAX_EVALUATIONS} "
+                f"evaluations (bracket [{min(a, b)}, {max(a, b)}])"
             )
-        interpolated = False
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            interpolated = 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q))
-        if interpolated:
-            e, d = d, p / q
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = g(b)
+        if evaluations:
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = (fa / (fb - fa) * fc / (fb - fc)
+                     + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+            else:
+                t = 0.5
+        tl = tol1 / width
+        if not tl < t < 1.0 - tl:  # also a NaN interpolant
+            t = 1.0 - tl if t > 0.5 else tl
+        x = a + t * (b - a)
+        fx = g(x)
         evaluations += 1
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (fa > 0):
+            c, fc = a, fa
+        else:
+            c, fc = b, fb
+            b, fb = a, fa
+        a, fa = x, fx
 
 
 # lattice points per block of both oracles' fill and scan: 256 kB per float64

@@ -199,12 +199,9 @@ def duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> flo
 
 
 def _duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> float:
-    """:func:`duration_from_instant` for operands it would accept.
-
-    Written as 2*t1 + (v0 - v1*p/(p + 2*v1))/sigma2 with p = v0 + sigma2*t1,
-    which has no cancellation when v1 dwarfs p (the expanded form
-    (v0 - v1)/sigma2 + 2*v1^2/(sigma2*(p + 2*v1)) subtracts two terms of size
-    v1 there)."""
+    """:func:`duration_from_instant` for operands it would accept, written as
+    2*t1 + (v0 - v1*p/(p + 2*v1))/sigma2 with p = v0 + sigma2*t1, which does
+    not cancel when v1 dwarfs p."""
     if math.isinf(v1):
         # limit of the rational form below
         return 2.0 * t1 + (v0 - sigma2 * t1) / (2.0 * sigma2)

@@ -18,8 +18,8 @@ along that curve.  ``descend_two`` keeps the paper's algorithm as the
 reference: coordinate descent whose t1 line searches find the sign change of
 the t1 slope on [0, t2], always cross-checked against that reduced root.  It
 returns the descent's trace.  Both find a sign change the same way: the
-slope at the two ends of the interval first, then Brent's method on the
-bracket they give, in about 8 slope evaluations.
+slope at the two ends of the interval first, then Chandrupatla's method on
+the bracket they give, in about 6 to 7 slope evaluations.
 
 Each public function validates its own arguments, under their own names, and
 then calls unchecked bodies (``_cost_pair``, ``_optimal_gap``,
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 from .kalman import _check_domain, _check_finite, _check_positive, _parallel_sum
-from .numerics import brent_root
+from .numerics import bracketed_root
 from .one_measure import _critical_duration_1, _duration_from_instant, _noise_ratio
 from .one_measure import _optimal_instant
 
@@ -173,8 +173,15 @@ def _t1_slope_factor(
     its nonnegative prefactor g/(g+v1) removed, so it stays informative where
     the prefactor vanishes)."""
     g = v0 + sigma2 * t1
-    ratio = _noise_ratio(v1, g)
-    post1 = _parallel_sum(v1, g)
+    ratio, post1 = _noise_ratio(v1, g), _parallel_sum(v1, g)
+    return _slope_factor(sigma2, T, v2, t1, t2, g, ratio, post1)
+
+
+def _slope_factor(
+    sigma2: float, T: float, v2: float, t1: float, t2: float, g: float, ratio: float,
+    post1: float,
+) -> float:
+    """:func:`_t1_slope_factor` given g, v1/(v1 + g) and post1 = v1 || g."""
     denom = v2 + sigma2 * (t2 - t1) + post1
     if denom == 0.0:
         inner = t2 - t1
@@ -185,30 +192,25 @@ def _t1_slope_factor(
     return g - (1.0 + ratio) * sigma2 * inner
 
 
-def _slope_sign_change(slope, hi: float) -> float:
+def _slope_sign_change(slope, hi: float, slope_hi: float | None = None) -> float:
     """Minimizer over [0, hi] of a function whose slope changes sign at most
     once, from - to +: 0 when the slope at 0 is already >= 0, hi when the
-    slope at hi is still <= 0, and otherwise the root of ``slope``, found by
-    Brent's method to a bracket of 1e-13*max(1, hi).  The root is found
-    deterministically, where a search on the function itself would wander
-    over the region of width ~sqrt(eps*J) in which it is flat to float
-    precision.  When hi = 0, 0 is the only point of the interval.
+    slope at hi (``slope_hi``, if known) is still <= 0, and otherwise the
+    root of ``slope`` by Chandrupatla's method to a bracket of
+    1e-13*max(1, hi).  The root is found deterministically, where a search
+    on the function itself would wander over the region of width
+    ~sqrt(eps*J) in which it is flat to float precision.  When hi = 0, 0 is
+    the only point of the interval.
     """
     if hi == 0.0:
         return 0.0
     s_lo = slope(0.0)
     if s_lo >= 0.0:
         return 0.0
-    s_hi = slope(hi)
+    s_hi = slope(hi) if slope_hi is None else slope_hi
     if s_hi <= 0.0:
         return hi
-    # Brent's g(lo) and g(hi) are the slopes already in hand
-    return brent_root(
-        lambda u: s_lo if u == 0.0 else s_hi if u == hi else slope(u),
-        0.0,
-        hi,
-        tol=_ROOT_TOL * max(1.0, hi),
-    )
+    return bracketed_root(slope, 0.0, hi, s_lo, s_hi, tol=_ROOT_TOL * max(1.0, hi))
 
 
 def _line_search_t1(
@@ -219,9 +221,7 @@ def _line_search_t1(
     sign at most once, from - to +), so this is the sign change of the slope
     factor.  t2 is 0 at horizons so short that the regime-2 instant rounds
     to 0."""
-    return _slope_sign_change(
-        lambda u: _t1_slope_factor(sigma2, T, v0, v1, v2, u, t2), t2
-    )
+    return _slope_sign_change(lambda u: _t1_slope_factor(sigma2, T, v0, v1, v2, u, t2), t2)
 
 
 def cubic_coeffs(v0: float, v1: float, v2: float) -> CubicCoeffs:
@@ -411,17 +411,20 @@ def _reduced_root(
     In units u = t/T and a_k = v_k/(sigma2*T) the problem has sigma2 = T = 1.
     For a fixed u the best second instant is u + optimal_gap(u), so by the
     envelope theorem the slope of the reduced cost is the t1 slope there; it
-    changes sign once on [0, 1] (it is a0 + 1 > 0 at u = 1), and the final
-    bracket of Brent's method, 1e-13 plus a few ulps wide, certifies the root.
+    changes sign once on [0, 1] (at u = 1 the gap is 0, and the slope is
+    a0 + 1 > 0 bit for bit, so it is not evaluated), and the final bracket,
+    1e-13 plus a few ulps wide, certifies the root.
     """
     scale = sigma2 * T
     a0, a1, a2 = v0 / scale, v1 / scale, v2 / scale
 
     def slope(u: float) -> float:
-        gap = _optimal_gap(1.0, 1.0, a0, a1, a2, u)
-        return _t1_slope_factor(1.0, 1.0, a0, a1, a2, u, u + gap)
+        g = a0 + u
+        prior = _parallel_sum(a1, g)
+        t2 = u + _optimal_instant(1.0, 1.0 - u, prior, a2)[0]
+        return _slope_factor(1.0, 1.0, a2, u, t2, g, _noise_ratio(a1, g), prior)
 
-    u1 = _slope_sign_change(slope, 1.0)
+    u1 = _slope_sign_change(slope, 1.0, a0 + 1.0)
     return u1 * T, (u1 + _optimal_gap(1.0, 1.0, a0, a1, a2, u1)) * T, None
 
 
@@ -437,14 +440,14 @@ def optimize_two(
     v0 || v1; both are closed-form.  Regime 3 solves the problem in
     dimensionless units u = t/T, where it reduces to one root: the single
     sign change, on [0, 1], of the t1 slope along the curve
-    u -> (u, u + optimal_gap(u)), found by Brent's method
-    (:func:`numerics.brent_root`) to a bracket of 1e-13 plus a few ulps, the
-    same bracketed root as the t1 line search of :func:`descend_two`.  Its
-    answer is therefore the same fraction of T at every time and variance
-    scale, and the loop always ends: past its evaluation budget the root
-    raises :class:`numerics.RootBudgetExceeded`, a ``RuntimeError``.  The
-    result carries no trace; :func:`descend_two` runs the paper's coordinate
-    descent instead.
+    u -> (u, u + optimal_gap(u)), found by Chandrupatla's method
+    (:func:`numerics.bracketed_root`) in about 6.4 slope evaluations to a
+    bracket of 1e-13 plus a few ulps, as in the t1 line search of
+    :func:`descend_two`.  Its answer is therefore the same fraction of T at
+    every time and variance scale, and the loop always ends: past its
+    evaluation budget the root raises :class:`numerics.RootBudgetExceeded`,
+    a ``RuntimeError``.  The result carries no trace; :func:`descend_two`
+    runs the paper's coordinate descent instead.
 
     The arguments are validated once, here.
     """
@@ -507,10 +510,10 @@ def descend_two(
     coordinate descent from the regime-2 schedule: the t2 update is the
     one-measure reduction (:func:`optimal_gap`), the t1 update is a line
     search that finds the sign change of the t1 slope on [0, t2] with the
-    bracketed Brent root of :func:`optimize_two`, scaled to max(1, t2) (the
-    cost is quasi-convex in t1, so its minimizer is that sign change or an
-    end of the interval), and
-    iteration stops when both coordinate steps drop below
+    bracketed Chandrupatla root of :func:`optimize_two`, scaled to
+    max(1, t2), from the slopes at both ends of [0, t2] (the cost is
+    quasi-convex in t1, so its minimizer is that sign change or an end of
+    the interval), and iteration stops when both coordinate steps drop below
     ``options.step_tol``.  The result is always cross-checked against the
     reduced root of :func:`optimize_two`, which solves the same stationarity
     system: either instant more than 1e-5 away from it, like

@@ -188,13 +188,13 @@ def test_huge_sigma2_solves_and_the_descent_reports_disagreement(capsys):
 def test_solver_budget_exhaustion_is_solver_failure(capsys, monkeypatch):
     # the regime-3 root of optimize_two, out of evaluations, raises a
     # RuntimeError subclass, which the CLI reports like any solver failure
-    monkeypatch.setattr(numerics, "BRENT_MAX_EVALUATIONS", 1)
+    monkeypatch.setattr(numerics, "ROOT_MAX_EVALUATIONS", 1)
     status = run(
         ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1", "--v1", "1",
          "--v2", "1"]
     )
     assert status == 5
-    assert "brent_root did not reach" in capsys.readouterr().err
+    assert "bracketed_root did not reach" in capsys.readouterr().err
 
 
 OPTIMIZE2 = ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1", "--v1", "1",

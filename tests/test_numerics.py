@@ -12,7 +12,7 @@ from bmsched.numerics import (
     GOLDEN_RATIO_CONJUGATE,
     RootBudgetExceeded,
     bisect_root,
-    brent_root,
+    bracketed_root,
     golden_section_min,
     grid_oracle_1,
     grid_oracle_2,
@@ -140,79 +140,113 @@ def test_bisect_root_compares_signs_not_products():
     assert abs(root - 0.3) <= 1e-12
 
 
-def test_brent_root_linear():
-    assert brent_root(lambda x: x - 0.25, 0.0, 1.0, 1e-12) == pytest.approx(0.25, abs=1e-12)
+def _root(g, lo, hi, tol):
+    """bracketed_root with the end values computed here."""
+    return bracketed_root(g, lo, hi, g(lo), g(hi), tol)
 
 
-def test_brent_root_on_boundary_cubic():
+def test_bracketed_root_linear():
+    assert _root(lambda x: x - 0.25, 0.0, 1.0, 1e-12) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_bracketed_root_on_boundary_cubic():
     f = lambda x: ((-12.0 * x - 40.0) * x - 25.0) * x + 24.0
-    assert brent_root(f, 0.0, 3.0, 1e-12) == pytest.approx(0.5, abs=1e-11)
+    assert _root(f, 0.0, 3.0, 1e-12) == pytest.approx(0.5, abs=1e-11)
 
 
-def test_brent_root_on_stationarity_gap():
+def test_bracketed_root_on_stationarity_gap():
     T = 71.0 / 18.0
     g = lambda t1: optimal_gap(1.0, T, 1.0, 1.0, 1.0, t1) - equilibrium_gap(
         1.0, 1.0, 1.0, 1.0, t1
     )
-    assert brent_root(g, 0.0, T, 1e-10) == pytest.approx(1.0401, abs=1e-3)
+    assert _root(g, 0.0, T, 1e-10) == pytest.approx(1.0401, abs=1e-3)
 
 
-def test_brent_root_returns_exact_zeros_as_is():
-    assert brent_root(lambda x: x - 0.25, 0.25, 1.0, 1e-12) == 0.25
-    assert brent_root(lambda x: x - 1.0, 0.25, 1.0, 1e-12) == 1.0
-    # the first secant step from [0, 1] lands on the zero at 0.25 exactly
+def test_bracketed_root_returns_exact_zeros_as_is():
+    # a zero end value is returned without a call of g
+    never = lambda x: pytest.fail("g evaluated")
+    assert bracketed_root(never, 0.25, 1.0, 0.0, 0.75, 1e-12) == 0.25
+    assert bracketed_root(never, 0.25, 1.0, -0.75, 0.0, 1e-12) == 1.0
+    # the first step, the secant of the two ends, lands on the zero at 0.25
     calls = []
 
     def g(x):
         calls.append(x)
         return 2.0 * x - 0.5
 
-    assert brent_root(g, 0.0, 1.0, 1e-12) == 0.25
-    assert calls == [0.0, 1.0, 0.25]
+    assert bracketed_root(g, 0.0, 1.0, -0.5, 1.5, 1e-12) == 0.25
+    assert calls == [0.25]
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        lambda x: math.tanh(x - 0.3),
-        lambda x: (x - 0.7) ** 3,  # triple root: interpolation stalls, bisection takes over
-        lambda x: math.exp(4.0 * x) - 3.0,
-        lambda x: x - 1e-3 / (x + 1e-9),
-    ],
-)
-def test_brent_root_final_bracket_certifies_the_root(g):
-    # the root lies within tol + 4*eps*|root| of the returned point: the
-    # increasing g changes sign across that distance
+def test_bracketed_root_evaluates_only_inside_the_bracket():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return math.tanh(x - 0.3)
+
+    bracketed_root(g, 0.0, 1.0, g(0.0), g(1.0), 1e-13)
+    assert all(0.0 < x < 1.0 for x in calls[2:])
+
+
+ROOT_CASES = [
+    lambda x: math.tanh(x - 0.3),
+    lambda x: (x - 0.7) ** 3,  # triple root: interpolation stalls, bisection takes over
+    lambda x: math.exp(4.0 * x) - 3.0,
+    lambda x: x - 1e-3 / (x + 1e-9),
+    lambda x: -1.0 if x < 1.0 / 3.0 else 1.0,  # a step: no root, one sign change
+    lambda x: x - 0.3 if x < 0.3 else 1e-3 * (x - 0.3),  # a kink at the root
+]
+
+
+@pytest.mark.parametrize("g", ROOT_CASES)
+def test_bracketed_root_final_bracket_certifies_the_root(g):
+    # the sign change lies within tol + 4*eps*|root| of the returned point:
+    # the increasing g changes sign across that distance
     tol = 1e-13
-    root = brent_root(g, 0.0, 1.0, tol)
+    root = _root(g, 0.0, 1.0, tol)
     reach = tol + 4.0 * math.ulp(1.0) * abs(root)
     assert g(root) == 0.0 or g(root - reach) < 0.0 < g(root + reach)
 
 
-def test_brent_root_ends_below_float_spacing():
+@pytest.mark.parametrize("g", ROOT_CASES[1:2] + ROOT_CASES[4:])
+def test_bracketed_root_ends_well_within_its_budget_on_hard_cases(g):
+    # a triple root, a step and a kink at tol 1e-13: bisection alone takes 44
+    # evaluations there, and the interpolation steps may add a few more
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return g(x)
+
+    _root(counted, 0.0, 1.0, 1e-13)
+    assert len(calls) - 2 <= 64 < numerics.ROOT_MAX_EVALUATIONS
+
+
+def test_bracketed_root_ends_below_float_spacing():
     # near 1e6 a 1e-12 bracket is narrower than the float spacing; the search
     # stops at a bracket of a few ulps instead
     r = 1e6 + 0.3
     with deadline(1.0):
-        root = brent_root(lambda x: (x - r) ** 3, 1e6, 1e6 + 1.0, tol=1e-12)
+        root = _root(lambda x: (x - r) ** 3, 1e6, 1e6 + 1.0, tol=1e-12)
     assert abs(root - r) <= 1e-12 + 4.0 * math.ulp(1.0) * r
 
 
-def test_brent_root_errors():
+def test_bracketed_root_errors():
     with pytest.raises(ValueError, match="sign change"):
-        brent_root(lambda x: x + 2.0, 0.0, 1.0, 1e-10)
+        _root(lambda x: x + 2.0, 0.0, 1.0, 1e-10)
     with pytest.raises(ValueError, match="sign change"):
-        brent_root(lambda x: 1e-200 * (x + 1.0), 0.0, 1.0, 1e-10)  # product underflows
+        _root(lambda x: 1e-200 * (x + 1.0), 0.0, 1.0, 1e-10)  # product underflows
     with pytest.raises(ValueError):
-        brent_root(lambda x: x, 1.0, 0.0, 1e-10)
+        _root(lambda x: x, 1.0, 0.0, 1e-10)
     with pytest.raises(ValueError):
-        brent_root(lambda x: x, -1.0, 1.0, 0.0)
+        _root(lambda x: x, -1.0, 1.0, 0.0)
 
 
-def test_brent_root_budget_raises_a_runtime_error(monkeypatch):
-    monkeypatch.setattr(numerics, "BRENT_MAX_EVALUATIONS", 1)
+def test_bracketed_root_budget_raises_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(numerics, "ROOT_MAX_EVALUATIONS", 1)
     with pytest.raises(RootBudgetExceeded, match="within 1 evaluations") as info:
-        brent_root(lambda x: math.tanh(x - 0.3), 0.0, 1.0, 1e-13)
+        _root(lambda x: math.tanh(x - 0.3), 0.0, 1.0, 1e-13)
     assert isinstance(info.value, RuntimeError)
 
 

@@ -425,7 +425,7 @@ def test_t1_line_search_roots_the_slope(monkeypatch):
     to rounding), within 1e-12*max(1, t2) of a sign change of the t1 slope,
     in at most 10 slope evaluations on average."""
     searches, evaluations = [], [0]
-    line_search, slope_factor = two_measure._line_search_t1, two_measure._t1_slope_factor
+    line_search, slope_factor = two_measure._line_search_t1, two_measure._slope_factor
 
     def recording(*args):
         t1 = line_search(*args)
@@ -437,7 +437,7 @@ def test_t1_line_search_roots_the_slope(monkeypatch):
         return slope_factor(*args)
 
     monkeypatch.setattr(two_measure, "_line_search_t1", recording)
-    monkeypatch.setattr(two_measure, "_t1_slope_factor", counting)
+    monkeypatch.setattr(two_measure, "_slope_factor", counting)
     rng = np.random.default_rng(62)
     runs = 0
     while runs < 300:
@@ -630,48 +630,63 @@ def test_regime3_root_survives_an_underflowing_slope(args):
     assert sol.t2_opt == pytest.approx(2.0 / 3.0, rel=1e-9)
 
 
+def _regime3_golden_args():
+    return [args for args, expected in _golden.load()["optimize_two"]
+            if expected.get("regime") == "3"]
+
+
 def test_regime3_root_takes_few_evaluations(monkeypatch):
-    """Brent's method finds the reduced regime-3 root in about 8 slope
-    evaluations, endpoints included (bisection to the same bracket takes
-    46), on the golden regime-3 instances."""
-    counts = []
+    """Chandrupatla's method finds the reduced regime-3 root in about 6.4
+    slope evaluations, the one at u = 0 included (the slope at u = 1 is
+    known, not evaluated), on the golden regime-3 instances.  Brent's method
+    took about 8 counting both ends, and bisection to the same bracket 46."""
+    calls = [0]
+    slope_factor = two_measure._slope_factor
 
-    def counting(g, lo, hi, tol):
-        calls = 0
-
-        def counted(u):
-            nonlocal calls
-            calls += 1
-            return g(u)
-
-        try:
-            return numerics.brent_root(counted, lo, hi, tol)
-        finally:
-            counts.append(calls)
-
-    monkeypatch.setattr(two_measure, "brent_root", counting)
-    for args, expected in _golden.load()["optimize_two"]:
-        if expected.get("regime") == "3":
-            optimize_two(*args)
-    assert len(counts) >= 100
-    assert sum(counts) / len(counts) <= 8.0
-    assert max(counts) <= 12
-
-
-def test_regime3_root_evaluates_the_slope_at_zero_once(monkeypatch):
-    # the guard's slope at u = 0 is also Brent's g(lo); it is computed once
-    at_zero = []
-    slope_factor = two_measure._t1_slope_factor
-
-    def recording(*args):
-        if args[5] == 0.0:
-            at_zero.append(args)
+    def counting(*args):
+        calls[0] += 1
         return slope_factor(*args)
 
-    monkeypatch.setattr(two_measure, "_t1_slope_factor", recording)
-    sol = optimize_two(1.0, 1.0, 0.0, 1.0, 1.0)
-    assert sol.regime is TwoMeasureRegime.REGIME3
-    assert len(at_zero) == 1
+    monkeypatch.setattr(two_measure, "_slope_factor", counting)
+    counts = []
+    for args in _regime3_golden_args():
+        calls[0] = 0
+        optimize_two(*args)
+        counts.append(calls[0])
+    assert len(counts) >= 100
+    assert sum(counts) / len(counts) <= 7.25
+    assert max(counts) <= 9
+
+
+@pytest.mark.parametrize("time_scale", [1.0, 1e-8, 1e8])
+@pytest.mark.parametrize("variance_scale", [1.0, 1e-8, 1e8])
+def test_regime3_root_evaluates_the_slope_at_zero_once(monkeypatch, time_scale, variance_scale):
+    # the guard's slope at u = 0 is also the root's g(lo), computed once; its
+    # g(hi), the slope at u = 1, is a0 + 1.0, never evaluated, and bit-equal
+    # to the slope evaluated there
+    evaluated_at = []
+    slope_factor = two_measure._slope_factor
+
+    def recording(*args):
+        evaluated_at.append(args[3])
+        return slope_factor(*args)
+
+    instances = [(1.0, 1.0, 0.0, 1.0, 1.0)] + _regime3_golden_args()
+    for sigma2, T, v0, v1, v2 in instances:
+        sigma2 *= variance_scale / time_scale
+        T *= time_scale
+        v0, v1, v2 = (v * variance_scale for v in (v0, v1, v2))
+        evaluated_at.clear()
+        monkeypatch.setattr(two_measure, "_slope_factor", recording)
+        sol = optimize_two(sigma2, T, v0, v1, v2)
+        monkeypatch.undo()
+        assert sol.regime is TwoMeasureRegime.REGIME3
+        assert evaluated_at.count(0.0) == 1
+        assert 1.0 not in evaluated_at
+        a0, a1, a2 = (v / (sigma2 * T) for v in (v0, v1, v2))
+        gap = two_measure._optimal_gap(1.0, 1.0, a0, a1, a2, 1.0)
+        at_one = two_measure._t1_slope_factor(1.0, 1.0, a0, a1, a2, 1.0, 1.0 + gap)
+        assert (a0 + 1.0).hex() == at_one.hex()
 
 
 @pytest.mark.parametrize(

@@ -60,15 +60,13 @@ def parse_real_list(text: str) -> tuple[float, ...]:
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
+    if x.is_integer():
+        return f"{x:.1f}" if abs(x) < 1e15 else f"{x:.12g}"
+    if math.isfinite(x):
+        return f"{x:.12g}"
     if math.isnan(x):
         return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if x == int(x) and abs(x) < 1e15:
-        return f"{x:.1f}"
-    return f"{x:.12g}"
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def render_json(obj: Any, indent: int = 0) -> str:

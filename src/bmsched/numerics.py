@@ -128,7 +128,7 @@ class RootBudgetExceeded(RuntimeError):
 
 # evaluations bracketed_root may spend inside its bracket: a simple root of a
 # smooth function takes about five, and a triple root, a step or a kink on
-# [0, 1] to 1e-13 at most about 55 (bisection there takes 44)
+# [0, 1] to 1e-13 44 to 59 (bisection there takes 44)
 ROOT_MAX_EVALUATIONS = 200
 _EPS = math.ulp(1.0)
 

@@ -346,6 +346,30 @@ def test_render_csv_deterministic():
     assert text == "a,b\n1.0,0.5\n2.0,0.333333333333\n"
 
 
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (0.0, "0.0"),
+        (-0.0, "-0.0"),
+        (1e15 - 1.0, "999999999999999.0"),
+        (1e15, "1e+15"),
+        (-1e15, "-1e+15"),
+        (2.0**53, "9.00719925474e+15"),
+        (1e-300, "1e-300"),
+        (math.nan, "NaN"),
+        (math.inf, "Infinity"),
+        (-math.inf, "-Infinity"),
+        (123456789012345.0, "123456789012345.0"),
+        (1.0 / 3.0, "0.333333333333"),
+    ],
+)
+def test_number_format(x, text):
+    # integral values below 1e15 keep one decimal, everything else has 12
+    # significant digits, and NaN and the infinities are spelled out
+    assert cli._fmt(x) == text
+    assert render_csv(("x",), [(x,)]) == f"x\n{text}\n"
+
+
 def _count_floats(doc) -> int:
     if isinstance(doc, dict):
         return sum(_count_floats(v) for v in doc.values())

@@ -27,19 +27,29 @@ __all__ = [
 ]
 
 
+# The three rules an argument can be held to, one message-producing helper
+# each.  Callers guard with the rule's chained comparison (``v >= 0.0``,
+# ``0.0 < v < math.inf``, ``0.0 <= v < math.inf``), which NaN fails, and call
+# a helper only when that guard fails, to raise for the first argument, in
+# the order given, that breaks its rule.
+
+
 def _check_domain(**kwargs: float) -> None:
+    """Raise for the first argument that is NaN or negative (``inf`` passes)."""
     for name, value in kwargs.items():
         if math.isnan(value) or value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _check_positive(**kwargs: float) -> None:
+    """Raise for the first argument that is not positive and finite."""
     for name, value in kwargs.items():
         if not (value > 0) or math.isinf(value):
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_finite(**kwargs: float) -> None:
+    """Raise for the first argument that is not finite and >= 0."""
     for name, value in kwargs.items():
         if math.isnan(value) or math.isinf(value) or value < 0:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -54,8 +64,10 @@ class ModelParams:
     prior_variance: float
 
     def __post_init__(self):
-        _check_positive(sigma2=self.sigma2, horizon=self.horizon)
-        _check_finite(prior_variance=self.prior_variance)
+        if not (0.0 < self.sigma2 < math.inf and 0.0 < self.horizon < math.inf
+                and 0.0 <= self.prior_variance < math.inf):
+            _check_positive(sigma2=self.sigma2, horizon=self.horizon)
+            _check_finite(prior_variance=self.prior_variance)
 
 
 @dataclass(frozen=True)
@@ -154,9 +166,9 @@ def parallel_sum(a: float, b: float) -> float:
     identity (a useless estimate changes nothing).  The result never exceeds
     either input.
     """
-    if math.isnan(a) or a < 0:
+    if not a >= 0.0:  # also rejects NaN
         raise ValueError(f"parallel_sum operand a must be >= 0, got {a}")
-    if math.isnan(b) or b < 0:
+    if not b >= 0.0:
         raise ValueError(f"parallel_sum operand b must be >= 0, got {b}")
     return _parallel_sum(a, b)
 

@@ -164,11 +164,13 @@ def bracketed_root(
     # a is the newest point, b the other end of the bracket, c the end dropped last
     a, fa, b, fb = lo, g_lo, hi, g_hi
     t = fa / (fa - fb)
+    eps2, half_tol = 2.0 * _EPS, 0.5 * tol
     evaluations = 0
     while True:
         best = a if abs(fa) < abs(fb) else b
-        tol1 = 2.0 * _EPS * abs(best) + 0.5 * tol
-        width = abs(b - a)
+        tol1 = eps2 * abs(best) + half_tol
+        ba = b - a
+        width = abs(ba)
         if width <= 2.0 * tol1:
             return best
         if evaluations == ROOT_MAX_EVALUATIONS:
@@ -179,15 +181,16 @@ def bracketed_root(
         if evaluations:
             xi = (a - b) / (c - b)
             phi = (fa - fb) / (fc - fb)
-            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            psi = 1.0 - phi
+            if phi * phi < xi and psi * psi < 1.0 - xi:
                 t = (fa / (fb - fa) * fc / (fb - fc)
-                     + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+                     + (c - a) / ba * fa / (fc - fa) * fb / (fc - fb))
             else:
                 t = 0.5
         tl = tol1 / width
         if not tl < t < 1.0 - tl:  # also a NaN interpolant
             t = 1.0 - tl if t > 0.5 else tl
-        x = a + t * (b - a)
+        x = a + t * ba
         fx = g(x)
         evaluations += 1
         if fx == 0.0:
@@ -283,7 +286,8 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     ``_BLOCK_CELLS`` points, so memory is the lattice plus one block.
     """
     s, T, v0 = params.sigma2, params.horizon, params.prior_variance
-    _check_domain(sensor=sensor)
+    if not sensor >= 0.0:
+        _check_domain(sensor=sensor)
     t = _lattice(T, step)
     minima = []
     for k0 in range(0, len(t), _BLOCK_CELLS):
@@ -393,7 +397,8 @@ def grid_oracle_2(
         raise ValueError(f"sensors must have exactly 2 entries, got {len(sensors)}")
     s, T, v0 = params.sigma2, params.horizon, params.prior_variance
     v1, v2 = float(sensors[0]), float(sensors[1])
-    _check_domain(v1=v1, v2=v2)
+    if not (v1 >= 0.0 and v2 >= 0.0):
+        _check_domain(v1=v1, v2=v2)
     t = _lattice(T, step)
     minima = []
     nodes: dict[tuple[int, int], float] = {}

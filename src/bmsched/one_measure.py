@@ -79,9 +79,11 @@ def _noise_ratio(v1: float, g: float) -> float:
 
 def cost_single(sigma2: float, T: float, v0: float, v1: float, t1: float) -> float:
     """Integral cost of measuring once at t1 with sensor variance v1."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v0=v0, v1=v1, t1=t1)
-    if t1 > T:
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf
+            and v0 >= 0.0 and v1 >= 0.0 and 0.0 <= t1 <= T):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v0=v0, v1=v1, t1=t1)
+        # the only rule left to break is t1 <= T
         raise ValueError(f"t1 must lie in [0, T], got t1={t1}, T={T}")
     return _cost_single(sigma2, T, v0, v1, t1)
 
@@ -104,8 +106,10 @@ def cost_derivative(sigma2: float, T: float, v0: float, v1: float, t1: float) ->
     and an increasing factor, so the cost decreases up to the optimum and
     increases after it.
     """
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v0=v0, v1=v1, t1=t1)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf
+            and v0 >= 0.0 and v1 >= 0.0 and t1 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v0=v0, v1=v1, t1=t1)
     g = v0 + sigma2 * t1
     ratio = _noise_ratio(v1, g)
     first = 1.0 - ratio  # == g / (g + v1), stable when v1 is 0 or inf
@@ -119,8 +123,9 @@ def critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
     Equals v0 / (sigma2 * (v1/(v0+v1) + 1)); increasing in v0, decreasing in
     v1 and sigma2.  Zero when v0 = 0.
     """
-    _check_positive(sigma2=sigma2)
-    _check_domain(v0=v0, v1=v1)
+    if not (0.0 < sigma2 < math.inf and v0 >= 0.0 and v1 >= 0.0):
+        _check_positive(sigma2=sigma2)
+        _check_domain(v0=v0, v1=v1)
     return _critical_duration_1(sigma2, v0, v1)
 
 
@@ -131,20 +136,31 @@ def _critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
     return v0 / (sigma2 * (ratio + 1.0))
 
 
-def _interior_instant(sigma2: float, T: float, v0: float, v1: float) -> float:
-    # Discriminant in factored form (sigma2*T+v0+v1)(sigma2*T+v0+9*v1) to
-    # avoid cancellation for large v1.  The numerator sqrt(disc) - b, with
-    # b = 3*(v0+v1) - sigma2*T, cancels when b > 0 is close to sqrt(disc);
-    # there it is taken as (disc - b^2)/(sqrt(disc) + b), with disc - b^2
-    # expanded symbolically.
-    sT = sigma2 * T
-    disc = (sT + v0 + v1) * (sT + v0 + 9.0 * v1)
-    b = 3.0 * (v0 + v1) - sT
-    if b > 0.0:
-        num = 8.0 * (sT * (v0 + 2.0 * v1) - v0 * (v0 + v1)) / (math.sqrt(disc) + b)
+def _optimal_instant(sigma2: float, T: float, v0: float, v1: float) -> float:
+    """The instant of :func:`optimal_instant_1`, for operands it would accept:
+    0 up to the critical duration, the interior stationary point past it."""
+    if T <= _critical_duration_1(sigma2, v0, v1):
+        return 0.0
+    if math.isinf(v1):
+        t_opt = max(0.0, (2.0 * sigma2 * T - v0) / (3.0 * sigma2))
     else:
-        num = sT - 3.0 * v0 - 3.0 * v1 + math.sqrt(disc)
-    return max(0.0, num / (4.0 * sigma2))
+        # Discriminant in factored form (sigma2*T+v0+v1)(sigma2*T+v0+9*v1)
+        # to avoid cancellation for large v1.  The numerator sqrt(disc) - b,
+        # with b = 3*(v0+v1) - sigma2*T, cancels when b > 0 is close to
+        # sqrt(disc); there it is taken as (disc - b^2)/(sqrt(disc) + b),
+        # with disc - b^2 expanded symbolically.
+        sT = sigma2 * T
+        disc = (sT + v0 + v1) * (sT + v0 + 9.0 * v1)
+        b = 3.0 * (v0 + v1) - sT
+        if b > 0.0:
+            num = 8.0 * (sT * (v0 + 2.0 * v1) - v0 * (v0 + v1)) / (math.sqrt(disc) + b)
+        else:
+            num = sT - 3.0 * v0 - 3.0 * v1 + math.sqrt(disc)
+        t_opt = max(0.0, num / (4.0 * sigma2))
+    if t_opt > T:
+        # reached only by rounding at horizons of a few ulps, or by overflow
+        raise ValueError(f"t1 must lie in [0, T], got t1={t_opt}, T={T}")
+    return t_opt
 
 
 def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasureSolution:
@@ -154,9 +170,17 @@ def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasu
     max(0, (2*sigma2*T - v0)/(3*sigma2)) of the optimizer is returned in that
     case.
     """
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v0=v0, v1=v1)
-    t_opt, regime, t_crit = _optimal_instant(sigma2, T, v0, v1)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v0 >= 0.0 and v1 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v0=v0, v1=v1)
+    t_opt = _optimal_instant(sigma2, T, v0, v1)
+    t_crit = _critical_duration_1(sigma2, v0, v1)
+    if T < t_crit:
+        regime = Regime.REGIME1
+    elif T == t_crit:
+        regime = Regime.BOUNDARY
+    else:
+        regime = Regime.REGIME2
     return OneMeasureSolution(
         t_opt=t_opt,
         regime=regime,
@@ -165,36 +189,13 @@ def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasu
     )
 
 
-def _optimal_instant(
-    sigma2: float, T: float, v0: float, v1: float
-) -> tuple[float, Regime, float]:
-    """Optimal instant, regime and critical duration of
-    :func:`optimal_instant_1`, for operands it has validated."""
-    t_crit = _critical_duration_1(sigma2, v0, v1)
-    if math.isinf(v1):
-        t_opt = max(0.0, (2.0 * sigma2 * T - v0) / (3.0 * sigma2))
-    else:
-        t_opt = _interior_instant(sigma2, T, v0, v1)
-    if T < t_crit:
-        regime = Regime.REGIME1
-        t_opt = 0.0
-    elif T == t_crit:
-        regime = Regime.BOUNDARY
-        t_opt = 0.0
-    else:
-        regime = Regime.REGIME2
-    if t_opt > T:
-        # reached only by rounding at horizons of a few ulps, or by overflow
-        raise ValueError(f"t1 must lie in [0, T], got t1={t_opt}, T={T}")
-    return t_opt, regime, t_crit
-
-
 def duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> float:
     """Horizon length whose interior optimum is exactly t1 (inverse of the
     optimal-instant map on regime 2; at t1 = 0 it reduces to the critical
     duration)."""
-    _check_positive(sigma2=sigma2)
-    _check_domain(t1=t1, v0=v0, v1=v1)
+    if not (0.0 < sigma2 < math.inf and t1 >= 0.0 and v0 >= 0.0 and v1 >= 0.0):
+        _check_positive(sigma2=sigma2)
+        _check_domain(t1=t1, v0=v0, v1=v1)
     return _duration_from_instant(sigma2, t1, v0, v1)
 
 
@@ -214,32 +215,36 @@ def _duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> fl
 def lower_bound(sigma2: float, T: float, v0: float, v1: float) -> float:
     """Schedule-independent lower bound sqrt(sigma2 * (v0||v1) * T^3); strictly
     below the cost of every schedule."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v0=v0, v1=v1)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v0 >= 0.0 and v1 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v0=v0, v1=v1)
     return math.sqrt(sigma2 * _parallel_sum(v0, v1) * T**3)
 
 
 def upper_bound(sigma2: float, T: float, v0: float) -> float:
     """Cost of never gaining information: v0*T + sigma2*T^2/2 (attained by
     measuring at t1 = T)."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v0=v0)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v0 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v0=v0)
     return v0 * T + 0.5 * sigma2 * T * T
 
 
 def window_v0_crit(sigma2: float, T: float, v1: float) -> float:
     """Smallest prior variance for which the optimal instant in a window of
     length T is 0 (solves critical_duration_1 == T for v0)."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v1=v1)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v1 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v1=v1)
     sT = sigma2 * T
     return 0.5 * (sT - v1 + math.sqrt((v1 - sT) ** 2 + 8.0 * sigma2 * v1 * T))
 
 
 def window_v0_stationary(sigma2: float, T: float, v1: float) -> float:
     """Fixed point of :func:`window_map`; strictly above window_v0_crit."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v1=v1)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v1 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v1=v1)
     sT = sigma2 * T
     return 0.5 * (sT + math.sqrt(sT * sT + 4.0 * sigma2 * v1 * T))
 
@@ -253,10 +258,11 @@ def window_map(sigma2: float, T: float, v1: float, v0: float) -> float:
     ((v1 + sigma2*T) * v0 + sigma2*v1*T) / (v0 + v1).  Both expressions agree
     at the threshold.
     """
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v1=v1, v0=v0)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v1 >= 0.0 and v0 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v1=v1, v0=v0)
     if v0 < window_v0_crit(sigma2, T, v1):
-        t_opt = _optimal_instant(sigma2, T, v0, v1)[0]
+        t_opt = _optimal_instant(sigma2, T, v0, v1)
         post = _parallel_sum(v1, v0 + sigma2 * t_opt)
         return post + sigma2 * (T - t_opt)
     if math.isinf(v1):
@@ -276,13 +282,14 @@ def iterate_windows(
     """
     if max_windows < 1:
         raise ValueError(f"max_windows must be >= 1, got {max_windows}")
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v1=v1, v0=v0)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v1 >= 0.0 and v0 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v1=v1, v0=v0)
     v_seq = [v0]
     instants = []
     for _ in range(max_windows):
         v = v_seq[-1]
-        instants.append(_optimal_instant(sigma2, T, v, v1)[0])
+        instants.append(_optimal_instant(sigma2, T, v, v1))
         v_seq.append(window_map(sigma2, T, v1, v))
     settled: int | None = None
     for k in range(len(instants) - 1, -1, -1):

@@ -24,6 +24,8 @@ the bracket they give, in about 6 to 7 slope evaluations.
 Each public function validates its own arguments, under their own names, and
 then calls unchecked bodies (``_cost_pair``, ``_optimal_gap``,
 ``_critical_spacing`` and the one-measure and parallel-sum bodies they use).
+A valid call costs one chained comparison; the ``kalman`` helpers that word
+the errors run only when it fails.
 The optimizers validate once on entry, and their inner loops call only these
 bodies, with the same arithmetic, so they return the same bits.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .kalman import _check_domain, _check_finite, _check_positive, _parallel_sum
@@ -123,8 +126,10 @@ def cost_pair(
     sigma2: float, T: float, v0: float, v1: float, v2: float, t1: float, t2: float
 ) -> float:
     """Integral cost of measuring at t1 and t2 (0 <= t1 <= t2 <= T)."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v0=v0, v1=v1, v2=v2)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf
+            and v0 >= 0.0 and v1 >= 0.0 and v2 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v0=v0, v1=v1, v2=v2)
     return _cost_pair(sigma2, T, v0, v1, v2, t1, t2)
 
 
@@ -158,8 +163,10 @@ def cost_derivative_t1(
         (g / (g + v1)) * (g - (1 + v1/(v1+g)) * sigma2
             * (v2^2*(T - t2)/(v2 + sigma2*(t2-t1) + post1)^2 + (t2 - t1)))
     """
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(v0=v0, v1=v1, v2=v2)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf
+            and v0 >= 0.0 and v1 >= 0.0 and v2 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(v0=v0, v1=v1, v2=v2)
     if not (0.0 <= t1 <= t2 <= T):
         raise ValueError(f"need 0 <= t1 <= t2 <= T, got t1={t1}, t2={t2}, T={T}")
     first = 1.0 - _noise_ratio(v1, v0 + sigma2 * t1)  # == g / (g + v1)
@@ -226,7 +233,8 @@ def _line_search_t1(
 
 def cubic_coeffs(v0: float, v1: float, v2: float) -> CubicCoeffs:
     """Boundary cubic coefficients, exact polynomials in the variances."""
-    _check_finite(v0=v0, v1=v1, v2=v2)
+    if not (0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
+        _check_finite(v0=v0, v1=v1, v2=v2)
     return CubicCoeffs(*_cubic_coeffs(v0, v1, v2))
 
 
@@ -278,8 +286,10 @@ def critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
     1e-15 (relative) of a 40-digit root for ratios up to about 1e25.  Zero
     when v0 = 0.
     """
-    _check_positive(sigma2=sigma2)
-    _check_finite(v0=v0, v1=v1, v2=v2)
+    if not (0.0 < sigma2 < math.inf
+            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
+        _check_positive(sigma2=sigma2)
+        _check_finite(v0=v0, v1=v1, v2=v2)
     return _critical_spacing(sigma2, v0, v1, v2)
 
 
@@ -301,15 +311,19 @@ def _critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
 def critical_duration_2_second(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """Largest horizon for which both measurements at 0 is optimal; equals the
     one-measure critical duration with prior v0 || v1 and sensor v2."""
-    _check_positive(sigma2=sigma2)
-    _check_finite(v0=v0, v1=v1, v2=v2)
+    if not (0.0 < sigma2 < math.inf
+            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
+        _check_positive(sigma2=sigma2)
+        _check_finite(v0=v0, v1=v1, v2=v2)
     return _critical_duration_1(sigma2, _parallel_sum(v0, v1), v2)
 
 
 def critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """Largest horizon for which the first measurement stays at 0."""
-    _check_positive(sigma2=sigma2)
-    _check_finite(v0=v0, v1=v1, v2=v2)
+    if not (0.0 < sigma2 < math.inf
+            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
+        _check_positive(sigma2=sigma2)
+        _check_finite(v0=v0, v1=v1, v2=v2)
     return _critical_duration_2_first(sigma2, v0, v1, v2)
 
 
@@ -328,8 +342,10 @@ def _classify(
     """Validate once, then the regime of horizon T with both critical
     durations (T2_crit, T1_crit); a horizon exactly equal to a critical
     duration belongs to the lower regime."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_finite(v0=v0, v1=v1, v2=v2)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf
+            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_finite(v0=v0, v1=v1, v2=v2)
     t2_crit = _critical_duration_1(sigma2, _parallel_sum(v0, v1), v2)
     t1_crit = _critical_duration_2_first(sigma2, v0, v1, v2)
     if T <= t2_crit:
@@ -353,8 +369,10 @@ def optimal_gap(
     """Best spacing t2 - t1 when the first measurement is pinned at t1
     (one-measure reduction over the remaining horizon); nonincreasing in t1
     and continued by 0 for t1 >= T."""
-    _check_positive(sigma2=sigma2, T=T)
-    _check_domain(t1=t1, v0=v0, v1=v1, v2=v2)
+    if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf
+            and t1 >= 0.0 and v0 >= 0.0 and v1 >= 0.0 and v2 >= 0.0):
+        _check_positive(sigma2=sigma2, T=T)
+        _check_domain(t1=t1, v0=v0, v1=v1, v2=v2)
     return _optimal_gap(sigma2, T, v0, v1, v2, t1)
 
 
@@ -367,7 +385,7 @@ def _optimal_gap(
     if t1 >= T:
         return 0.0
     prior = _parallel_sum(v0 + sigma2 * t1, v1)
-    return _optimal_instant(sigma2, T - t1, prior, v2)[0]
+    return _optimal_instant(sigma2, T - t1, prior, v2)
 
 
 def equilibrium_gap(
@@ -376,8 +394,11 @@ def equilibrium_gap(
     """Spacing that makes the first measurement stationary when it happens at
     t1 (critical spacing for the inflated prior v0 + sigma2*t1); strictly
     increasing in t1."""
-    _check_positive(sigma2=sigma2)
-    _check_finite(v0=v0, v1=v1, v2=v2, t1=t1)
+    if not (0.0 < sigma2 < math.inf
+            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf
+            and 0.0 <= t1 < math.inf):
+        _check_positive(sigma2=sigma2)
+        _check_finite(v0=v0, v1=v1, v2=v2, t1=t1)
     return _critical_spacing(sigma2, v0 + sigma2 * t1, v1, v2)
 
 
@@ -413,15 +434,19 @@ def _reduced_root(
     envelope theorem the slope of the reduced cost is the t1 slope there; it
     changes sign once on [0, 1] (at u = 1 the gap is 0, and the slope is
     a0 + 1 > 0 bit for bit, so it is not evaluated), and the final bracket,
-    1e-13 plus a few ulps wide, certifies the root.
+    1e-13 plus a few ulps wide, certifies the root.  Where sigma2*T is
+    subnormal or underflows to 0, a_k is formed as (v_k/sigma2)/T instead.
     """
     scale = sigma2 * T
-    a0, a1, a2 = v0 / scale, v1 / scale, v2 / scale
+    if scale >= sys.float_info.min:
+        a0, a1, a2 = v0 / scale, v1 / scale, v2 / scale
+    else:
+        a0, a1, a2 = v0 / sigma2 / T, v1 / sigma2 / T, v2 / sigma2 / T
 
     def slope(u: float) -> float:
         g = a0 + u
         prior = _parallel_sum(a1, g)
-        t2 = u + _optimal_instant(1.0, 1.0 - u, prior, a2)[0]
+        t2 = u + _optimal_instant(1.0, 1.0 - u, prior, a2)
         return _slope_factor(1.0, 1.0, a2, u, t2, g, _noise_ratio(a1, g), prior)
 
     u1 = _slope_sign_change(slope, 1.0, a0 + 1.0)

@@ -185,6 +185,18 @@ def test_huge_sigma2_solves_and_the_descent_reports_disagreement(capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+def test_underflowing_time_and_variance_scale_solves(capsys):
+    # sigma2*T = 1e-400 underflows to 0; the regime-3 root used to divide by
+    # it and exit 1 with a ZeroDivisionError traceback
+    status, out = run_cli(capsys, "optimize2", "--sigma2", "1e-200", "--T", "1e-200",
+                          "--v0", "0", "--v1", "0", "--v2", "0")
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["regime"] == "3"
+    assert doc["t1_opt"] == pytest.approx(1e-200 / 3.0, rel=1e-9)
+    assert doc["t2_opt"] == pytest.approx(2e-200 / 3.0, rel=1e-9)
+
+
 def test_solver_budget_exhaustion_is_solver_failure(capsys, monkeypatch):
     # the regime-3 root of optimize_two, out of evaluations, raises a
     # RuntimeError subclass, which the CLI reports like any solver failure

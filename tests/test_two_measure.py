@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _golden
@@ -561,26 +561,99 @@ _VALID_CALLS = [
 ]
 
 
+# each argument's rule: whether it rejects a value, given the whole call,
+# and the message it raises then, formatted with the argument's name and
+# value and with the call's arguments by name
+_RULES = {
+    "positive": (lambda v, call: not 0.0 < v < math.inf,
+                 "{name} must be positive and finite, got {value}"),
+    "finite": (lambda v, call: not 0.0 <= v < math.inf,
+               "{name} must be finite and >= 0, got {value}"),
+    "domain": (lambda v, call: not v >= 0.0, "{name} must be >= 0, got {value}"),
+    "order": (lambda v, call: not 0.0 <= call["t1"] <= call["t2"] <= call["T"],
+              "need 0 <= t1 <= t2 <= T, got t1={t1}, t2={t2}, T={T}"),
+    "operand": (lambda v, call: not v >= 0.0,
+                "parallel_sum operand {name} must be >= 0, got {value}"),
+    "sensors": (lambda v, call: not v >= 0.0,
+                "sensor variances must be >= 0 (or inf), got {value}"),
+    # the valid call's instants are [0.5, 1.0]; a bad value replaces the last
+    "instants": (lambda v, call: not v >= 0.5,
+                 "instants must be nondecreasing and >= 0, got (0.5, {value})"),
+}
+# the functions that classify or solve two-measure schedules need finite
+# variances (and instants)
+_FINITE = {cubic_coeffs, critical_spacing, critical_duration_2_second,
+           critical_duration_2_first, classify_regime, optimize_two, descend_two,
+           equilibrium_gap}
+
+
+def _rule(fn, name):
+    if fn in (kalman.SensorSet, kalman.equivalent_sensor_variance):
+        return "sensors"
+    if fn is kalman.Schedule:
+        return "instants"
+    if fn is kalman.parallel_sum:
+        return "operand"
+    if name in ("sigma2", "T", "horizon"):
+        return "positive"
+    if fn in (cost_pair, cost_derivative_t1) and name in ("t1", "t2"):
+        return "order"
+    if name == "prior_variance" or fn in _FINITE:
+        return "finite"
+    return "domain"
+
+
+def _replaced(args, k, value):
+    """args with argument k replaced; a sequence gets value as its last entry."""
+    arg = args[k]
+    value = arg[:-1] + [value] if isinstance(arg, list) else value
+    return args[:k] + (value,) + args[k + 1:]
+
+
 def _bad_argument_cases():
     for fn, args in _VALID_CALLS:
         names = list(inspect.signature(fn).parameters)
         for k, arg in enumerate(args):
             if isinstance(arg, int):  # a count, not a variance or an instant
                 continue
-            for bad in (-1.0, math.nan):
-                # a sequence gets the bad value as its last entry
-                value = arg[:-1] + [bad] if isinstance(arg, list) else bad
+            rejects, message = _RULES[_rule(fn, names[k])]
+            for bad in (-1.0, math.nan, math.inf, -math.inf, 0.0):
+                bad_args = _replaced(args, k, bad)
+                call = dict(zip(names, bad_args))
+                if not rejects(bad, call):
+                    continue
                 yield pytest.param(
-                    fn, args, args[:k] + (value,) + args[k + 1:], names[k],
+                    fn, args, bad_args, message.format(name=names[k], value=bad, **call),
                     id=f"{fn.__name__}-{names[k]}-{bad}",
                 )
 
 
-@pytest.mark.parametrize("fn, valid, args, name", list(_bad_argument_cases()))
-def test_every_argument_is_validated_under_its_own_name(fn, valid, args, name):
+@pytest.mark.parametrize("fn, valid, args, message", list(_bad_argument_cases()))
+def test_every_argument_is_validated_under_its_own_name(fn, valid, args, message):
     fn(*valid)
-    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+    with pytest.raises(ValueError) as info:
         fn(*args)
+    assert str(info.value) == message
+
+
+def _accepted_sensor_cases():
+    for fn, args in _VALID_CALLS:
+        names = list(inspect.signature(fn).parameters)
+        for k, name in enumerate(names):
+            if name not in ("v1", "v2", "variances"):
+                continue
+            rejects, _ = _RULES[_rule(fn, name)]
+            for value in (0.0, -0.0, math.inf):
+                if not rejects(value, {}):
+                    yield pytest.param(fn, _replaced(args, k, value),
+                                       id=f"{fn.__name__}-{name}-{value}")
+
+
+@pytest.mark.parametrize("fn, args", list(_accepted_sensor_cases()))
+def test_exact_and_useless_sensors_are_accepted(fn, args):
+    # a sensor of variance 0 (or -0.0) is exact and one of variance inf
+    # carries no information; the two-measure solvers take only finite ones
+    fn(*args)
 
 
 def test_golden_solutions_are_bit_identical():
@@ -628,6 +701,21 @@ def test_regime3_root_survives_an_underflowing_slope(args):
     assert sol.regime is TwoMeasureRegime.REGIME3
     assert sol.t1_opt == pytest.approx(1.0 / 3.0, rel=1e-9)
     assert sol.t2_opt == pytest.approx(2.0 / 3.0, rel=1e-9)
+
+
+def test_regime3_root_survives_an_underflowing_time_and_variance_scale():
+    # sigma2*T = 1e-400 underflows to 0, by which the dimensionless variances
+    # used to be divided (ZeroDivisionError); they are now (v/sigma2)/T
+    unit = optimize_two(1.0, 1.0, 0.0, 0.0, 0.0)
+    sol = optimize_two(1e-200, 1e-200, 0.0, 0.0, 0.0)
+    assert unit.regime is sol.regime is TwoMeasureRegime.REGIME3
+    assert (unit.t1_opt, unit.t2_opt) == pytest.approx((1.0 / 3.0, 2.0 / 3.0), rel=1e-12)
+    assert sol.t1_opt / 1e-200 == pytest.approx(unit.t1_opt, rel=1e-12)
+    assert sol.t2_opt / 1e-200 == pytest.approx(unit.t2_opt, rel=1e-12)
+    # the descent's cross-check runs the same root; its absolute stop rules
+    # accept (0, 0) at this scale, so only the absence of the error is pinned
+    sol = descend_two(1e-200, 1e-200, 0.0, 0.0, 0.0)
+    assert sol.regime is TwoMeasureRegime.REGIME3
 
 
 def _regime3_golden_args():
@@ -770,4 +858,36 @@ def test_regime3_instants_are_scale_invariant(v0, v1, v2, stretch, time_decades,
     sol = optimize_two(b / a, T * a, v0 * b, v1 * b, v2 * b)
     assert unit.regime is sol.regime is TwoMeasureRegime.REGIME3
     assert abs(sol.t1_opt / (T * a) - unit.t1_opt / T) <= 1e-12
+    assert abs(sol.t2_opt / (T * a) - unit.t2_opt / T) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v0=st.floats(min_value=0.01, max_value=5.0),
+    v1=_variance,
+    v2=_variance,
+    regime=st.sampled_from([TwoMeasureRegime.REGIME1, TwoMeasureRegime.REGIME2]),
+    position=st.floats(min_value=0.0, max_value=1.0),
+    time_decades=st.floats(min_value=-8.0, max_value=8.0),
+    variance_decades=st.floats(min_value=-8.0, max_value=8.0),
+)
+def test_regime1_and_2_instants_are_scale_invariant(
+    v0, v1, v2, regime, position, time_decades, variance_decades
+):
+    # a horizon at least 1e-9 (relative) inside the regime's interval of
+    # unit-scale horizons; both critical durations are exact to about 1e-15
+    # relative at every scale, so the label does not change either
+    t2_crit = critical_duration_2_second(1.0, v0, v1, v2)
+    t1_crit = critical_duration_2_first(1.0, v0, v1, v2)
+    if regime is TwoMeasureRegime.REGIME1:
+        lo, hi = 1e-9 * t2_crit, (1.0 - 1e-9) * t2_crit
+    else:
+        lo, hi = (1.0 + 1e-9) * t2_crit, (1.0 - 1e-9) * t1_crit
+    assume(0.0 < lo < hi)
+    T = lo + position * (hi - lo)
+    unit = optimize_two(1.0, T, v0, v1, v2)
+    a, b = 10.0**time_decades, 10.0**variance_decades
+    sol = optimize_two(b / a, T * a, v0 * b, v1 * b, v2 * b)
+    assert unit.regime is sol.regime is regime
+    assert sol.t1_opt == unit.t1_opt == 0.0
     assert abs(sol.t2_opt / (T * a) - unit.t2_opt / T) <= 1e-12

@@ -6,8 +6,9 @@ as ground truth in tests.  Both oracles stream their lattice through blocks of
 about ``_BLOCK_CELLS`` points that stay in cache and keep no full cost array:
 the one-instant oracle keeps each block's minimum, and the two-instant oracle
 fills only the triangle t1 <= t2 of its m x m lattice, in row blocks, keeping
-each block's minimum and its coordinatewise minima.  So their memory is a few
-blocks (the lattice itself is one array of m points), whatever m is.  The
+each block's minimum.  So their memory is a few blocks (the lattice itself is
+one array of m points), whatever m is.  :func:`lattice_cwlms` runs the same
+two-instant fill and also collects its coordinatewise minima.  The
 cost kernels fill a block in place with the operations, in the order, they
 take on one cell's Python floats, on which both oracles refine their lattice
 winner, so a refined cost rounds as a lattice cell (squares are products:
@@ -33,6 +34,7 @@ __all__ = [
     "RootBudgetExceeded",
     "grid_oracle_1",
     "grid_oracle_2",
+    "lattice_cwlms",
 ]
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -42,17 +44,14 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 class GridOracleResult:
     """Argmin of an exhaustive lattice search, optionally refined locally.
 
-    For the two-instant oracle, ``lattice_cwlms`` lists every lattice point
-    that no single-coordinate step can improve; lattice points of that kind
-    that touch (8-connectivity) are one minimum at grid resolution and are
-    reported once, by their best node.
+    The two-instant lattice's coordinatewise minima are not part of it:
+    :func:`lattice_cwlms` finds them.
     """
 
     argmin: tuple[float, ...]
     min_value: float
     grid_step: float
     refined: bool
-    lattice_cwlms: tuple[tuple[float, float], ...] | None = None
 
 
 def golden_section_min(
@@ -203,11 +202,13 @@ def bracketed_root(
         a, fa = x, fx
 
 
-# lattice points per block of both oracles' fill and scan: 256 kB per float64
+# lattice points per block of every oracle's fill and scan: 256 kB per float64
 # temporary, which stays in cache.  On the benchmark's 256 instances of each
-# oracle (2 CPUs, numpy 2.4), a two-instant call at step 2e-3 takes 6.7, 6.4, 7.2
-# and 8.2 ms at 2**14 to 2**17 cells, a one-instant call at step 1e-5 0.84, 0.89,
-# 1.3 and 2.1 ms, and a process running both pools peaks at 37.6 to 54.1 MB RSS
+# oracle (2 CPUs, numpy 2.4), a two-instant call at step 2e-3 takes 3.6 to 4.3 ms
+# at 2**14 and 2**15 cells (which of the two wins changes from run to run), 4.8
+# and 5.8 ms at 2**16 and 2**17, a one-instant call at step 1e-5 0.84, 0.89,
+# 1.3 and 2.1 ms at 2**14 to 2**17, and a process running both pools peaks at
+# 37.6 to 54.1 MB RSS
 _BLOCK_CELLS = 1 << 15
 
 
@@ -312,16 +313,6 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     )
 
 
-def _blocks(m: int):
-    """Row blocks [i0, i1) of the triangle j >= i of an m x m lattice, each
-    holding about ``_BLOCK_CELLS`` cells of columns i0 and above."""
-    i0 = 0
-    while i0 < m:
-        i1 = min(m, i0 + max(1, _BLOCK_CELLS // (m - i0)))
-        yield i0, i1
-        i0 = i1
-
-
 def _block_nodes(i0, Jb, above, below, nodes, tol=1e-12):
     """Add to ``nodes`` the cells of row block Jb (rows i0 to i1 - 1, columns
     i0 and above) that no axis step improves, mapped to their costs, in
@@ -376,6 +367,38 @@ def _merge_touching(nodes: dict[tuple[int, int], float]) -> list[tuple[int, int]
     return reps
 
 
+def _two_args(params: ModelParams, sensors: Sequence[float]):
+    """(sigma2, T, v0, v1, v2) of a two-instant oracle, the sensors checked."""
+    if len(sensors) != 2:
+        raise ValueError(f"sensors must have exactly 2 entries, got {len(sensors)}")
+    v1, v2 = float(sensors[0]), float(sensors[1])
+    if not (v1 >= 0.0 and v2 >= 0.0):
+        _check_domain(v1=v1, v2=v2)
+    return params.sigma2, params.horizon, params.prior_variance, v1, v2
+
+
+def _triangle_blocks(s, T, v0, v1, v2, t):
+    """(i0, Jb) per row block [i0, i1) of the triangle t1 <= t2 of the
+    lattice t x t, each of about ``_BLOCK_CELLS`` cells: Jb holds the costs
+    of rows i0 to i1 - 1 from column i0 on, the cells below the diagonal set
+    to inf."""
+    m, i0 = len(t), 0
+    while i0 < m:
+        i1 = min(m, i0 + max(1, _BLOCK_CELLS // (m - i0)))
+        rows = t[i0:i1, None]
+        Jb = _cost_two_lattice(s, T, v0, v1, v2, rows, t[None, i0:])
+        corner = Jb[:, : i1 - i0]
+        corner[t[None, i0:i1] < rows] = np.inf
+        yield i0, Jb
+        i0 = i1
+
+
+def _block_min(i0, Jb):
+    """The lattice cell and cost of row block Jb's first minimum."""
+    a, b = divmod(int(np.argmin(Jb)), Jb.shape[1])
+    return (a + i0, b + i0), Jb[a, b]
+
+
 @np.errstate(all="ignore")  # _first_min rejects overflow; cells below t1 <= t2 are masked
 def grid_oracle_2(
     params: ModelParams, sensors: Sequence[float], step: float
@@ -384,40 +407,16 @@ def grid_oracle_2(
     triangle 0 <= t1 <= t2 <= T, plus coordinatewise refinement.
 
     The lattice contains the boundary lines t1 = 0, t2 = T and the diagonal
-    exactly.  Also reports the lattice points that are coordinatewise
-    unimprovable (see :class:`GridOracleResult`).
-
-    The triangle of the m x m lattice is filled in row blocks of about
-    ``_BLOCK_CELLS`` cells, and each block is dropped once its minimum and its
-    coordinatewise minima are taken; a block's scan waits for the next
-    block's first row, its lower rim.  So memory is a few blocks, whatever m
-    is, and no m x m cost matrix exists.
+    exactly.  The triangle of the m x m lattice is filled in row blocks of
+    about ``_BLOCK_CELLS`` cells, and each block is dropped once its minimum
+    is taken.  So memory is a few blocks, whatever m is, and no m x m cost
+    matrix exists.
     """
-    if len(sensors) != 2:
-        raise ValueError(f"sensors must have exactly 2 entries, got {len(sensors)}")
-    s, T, v0 = params.sigma2, params.horizon, params.prior_variance
-    v1, v2 = float(sensors[0]), float(sensors[1])
-    if not (v1 >= 0.0 and v2 >= 0.0):
-        _check_domain(v1=v1, v2=v2)
+    s, T, v0, v1, v2 = _two_args(params, sensors)
     t = _lattice(T, step)
-    minima = []
-    nodes: dict[tuple[int, int], float] = {}
-    held = above = None
-    for i0, i1 in _blocks(len(t)):
-        rows = t[i0:i1, None]
-        Jb = _cost_two_lattice(s, T, v0, v1, v2, rows, t[None, i0:])
-        corner = Jb[:, : i1 - i0]
-        corner[t[None, i0:i1] < rows] = np.inf
-        a, b = divmod(int(np.argmin(Jb)), Jb.shape[1])
-        minima.append(((a + i0, b + i0), Jb[a, b]))
-        if held is not None:
-            above = _block_nodes(*held, above, Jb[0], nodes)
-        held = (i0, Jb)
-    _block_nodes(*held, above, None, nodes)
-
+    minima = [_block_min(i0, Jb) for i0, Jb in _triangle_blocks(s, T, v0, v1, v2, t)]
     (i, j), best_J = _first_min(minima)
     best = (float(t[i]), float(t[j]))
-    cwlms = tuple((float(t[a]), float(t[b])) for a, b in _merge_touching(nodes))
 
     def J_scalar(x1, x2):
         return _cost_two_lattice(s, T, v0, v1, v2, x1, x2)
@@ -447,5 +446,34 @@ def grid_oracle_2(
     if refined:
         best, best_J = (x1, x2), val
 
-    return GridOracleResult(argmin=best, min_value=best_J, grid_step=step, refined=refined,
-                            lattice_cwlms=cwlms)
+    return GridOracleResult(argmin=best, min_value=best_J, grid_step=step, refined=refined)
+
+
+@np.errstate(all="ignore")  # _first_min rejects overflow; cells below t1 <= t2 are masked
+def lattice_cwlms(
+    params: ModelParams, sensors: Sequence[float], step: float
+) -> tuple[tuple[float, float], ...]:
+    """The coordinatewise lattice minima of the two-measurement cost, on the
+    lattice :func:`grid_oracle_2` searches: every lattice point of the
+    triangle t1 <= t2 that no single-coordinate step improves by more than
+    1e-12.  Such points that touch (8-connectivity) are one minimum at grid
+    resolution and are reported once, by their best node, in (t1, t2) order.
+
+    The triangle is filled in the row blocks of :func:`grid_oracle_2`; a
+    block's scan waits for the next block's first row, its lower rim, so the
+    fill keeps about two blocks.  The minima found are kept, though: on a
+    flat cost every lattice point is one, and memory and time grow as m^2.
+    """
+    s, T, v0, v1, v2 = _two_args(params, sensors)
+    t = _lattice(T, step)
+    minima = []
+    nodes: dict[tuple[int, int], float] = {}
+    held = above = None
+    for i0, Jb in _triangle_blocks(s, T, v0, v1, v2, t):
+        minima.append(_block_min(i0, Jb))
+        if held is not None:
+            above = _block_nodes(*held, above, Jb[0], nodes)
+        held = (i0, Jb)
+    _block_nodes(*held, above, None, nodes)
+    _first_min(minima)
+    return tuple((float(t[a]), float(t[b])) for a, b in _merge_touching(nodes))

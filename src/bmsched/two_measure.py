@@ -545,8 +545,14 @@ def descend_two(
     non-convergence, raises ``RuntimeError``.  In regime 3 the solution
     carries the descent's trace.
 
-    The stop rules are absolute widths in time, so at large time scales the
-    descent can fail to converge where :func:`optimize_two` does not.
+    The stop rules and the cross-check's 1e-5 are absolute widths in time,
+    so the descent is only as good as they are at the problem's time scale.
+    At large scales it can fail to converge where :func:`optimize_two` does
+    not.  At small scales it returns wrong schedules without an error:
+    ``descend_two(1.0, 1e-6, 3e-7, 2e-7, 4e-7)`` stops, converged, at
+    t1/T = 0.260342 against 0.260364 from :func:`optimize_two`, and
+    ``descend_two(1e-200, 1e-200, 0, 0, 0)`` returns (0, 0) against
+    (T/3, 2T/3).
     """
     opts = options or DescentOptions()
     return _solve(sigma2, T, v0, v1, v2, lambda *args: _descend(*args, opts))

@@ -5,7 +5,7 @@ Re-record, from the repository root, with
     PYTHONPATH=src python3 tests/_golden.py
 
 The grid oracles' records (argmin, minimum, whether refinement moved it, and
-the coordinatewise lattice minima) are kept apart, in
+the coordinatewise lattice minima of ``lattice_cwlms``) are kept apart, in
 tests/golden/oracles.json.  Their inputs are a fixed list, not a draw: every
 horizon regime, zero and ``inf`` sensors, v0 = 0, and lattice steps 4e-3 and
 2e-3.
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from bmsched.kalman import ModelParams
-from bmsched.numerics import grid_oracle_1, grid_oracle_2
+from bmsched.numerics import grid_oracle_1, grid_oracle_2, lattice_cwlms
 from bmsched.one_measure import optimal_instant_1
 from bmsched.two_measure import (
     cost_pair,
@@ -98,8 +98,7 @@ SOLVERS = {
 }
 
 
-def _oracle(res) -> dict:
-    cwlms = res.lattice_cwlms
+def _oracle(res, cwlms=None) -> dict:
     return {
         "argmin": [_hex(x) for x in res.argmin],
         "min_value": _hex(res.min_value),
@@ -111,7 +110,8 @@ def _oracle(res) -> dict:
 # args are (sigma2, T, v0, v1, step) and (sigma2, T, v0, v1, v2, step)
 ORACLES = {
     "grid_oracle_1": lambda a: _oracle(grid_oracle_1(ModelParams(*a[:3]), a[3], a[4])),
-    "grid_oracle_2": lambda a: _oracle(grid_oracle_2(ModelParams(*a[:3]), a[3:5], a[5])),
+    "grid_oracle_2": lambda a: _oracle(grid_oracle_2(ModelParams(*a[:3]), a[3:5], a[5]),
+                                       lattice_cwlms(ModelParams(*a[:3]), a[3:5], a[5])),
 }
 
 

@@ -16,6 +16,7 @@ from bmsched.numerics import (
     golden_section_min,
     grid_oracle_1,
     grid_oracle_2,
+    lattice_cwlms,
 )
 from bmsched.two_measure import cost_pair, equilibrium_gap, optimal_gap
 
@@ -278,8 +279,7 @@ def test_grid_oracle_2_interior_example():
     oracle = grid_oracle_2(params, (1.0, 1.0), step=2e-3)
     assert oracle.argmin[0] == pytest.approx(1.0401, abs=4e-3)
     assert oracle.argmin[1] == pytest.approx(2.4092, abs=4e-3)
-    assert oracle.lattice_cwlms is not None
-    assert len(oracle.lattice_cwlms) == 1
+    assert len(lattice_cwlms(params, (1.0, 1.0), step=2e-3)) == 1
     assert oracle.min_value <= cost_pair(1.0, 71.0 / 18.0, 1.0, 1.0, 1.0, 1.0401, 2.4092)
 
 
@@ -307,8 +307,9 @@ def test_grid_oracle_2_refinement_never_increases():
 
 
 def test_golden_oracles_are_bit_identical():
-    """grid_oracle_1 and grid_oracle_2 reproduce tests/golden/oracles.json
-    bit for bit: argmin, minimum, refinement flag and lattice minima."""
+    """grid_oracle_1, grid_oracle_2 and lattice_cwlms reproduce
+    tests/golden/oracles.json bit for bit: argmin, minimum, refinement flag
+    and lattice minima."""
     for name, records in _golden.load(_golden.ORACLE_PATH).items():
         for args, expected in records:
             assert _golden.solve(name, args) == expected, (name, args)
@@ -336,14 +337,39 @@ def _traced_peak(f, *args) -> int:
     return peak
 
 
-def test_grid_oracle_2_memory_is_about_one_cost_matrix():
+@pytest.mark.parametrize("oracle", [grid_oracle_2, lattice_cwlms])
+def test_grid_oracle_2_memory_is_about_one_cost_matrix(oracle):
     # well below one m x m cost matrix, at any m: such a matrix would take
     # 8m^2 bytes (about 31 MiB at m = 2001 and 122 MiB at m = 4001), but the
-    # triangle is filled and scanned in row blocks of about _BLOCK_CELLS
-    # cells, and each block is dropped once scanned
+    # triangle is filled (and scanned) in row blocks of about _BLOCK_CELLS
+    # cells, and each block is dropped once searched
     for step in (2e-3, 1e-3):
-        peak = _traced_peak(grid_oracle_2, ModelParams(1.3, 4.0, 1.0), (1.0, 2.0), step)
+        peak = _traced_peak(oracle, ModelParams(1.3, 4.0, 1.0), (1.0, 2.0), step)
         assert peak <= 8 * 2**20, step
+
+
+@pytest.mark.parametrize("params, sensors, step, expected", [
+    # the largest lattice of the benchmark's oracle pool
+    ((1.0179193774900273, 3.9583694138909227, 1.1172010692074625),
+     (1.250526723407277, 2.29926210583218), 2e-3,
+     (("0x1.3522227b21c87p+0", "0x1.45c86d21119ebp+1"), "0x1.ac27bc1e771dcp+2", True)),
+    # a flat cost: every lattice point is a coordinatewise minimum
+    ((1.0, 2.0, 0.5), (math.inf, math.inf), 4e-3,
+     (("0x1.374bc6a7ef9dbp-4", "0x1.ab020c49ba5e3p+0"), "0x1.7fffffffffffep+1", False)),
+], ids=["pool-largest", "flat"])
+def test_grid_oracle_2_runs_no_coordinatewise_scan(monkeypatch, params, sensors, step, expected):
+    """grid_oracle_2 finds its argmin without the scan that lattice_cwlms
+    runs, and gives the bits it gave when it ran that scan too."""
+    def scan(*args):
+        raise AssertionError("grid_oracle_2 ran the coordinatewise scan")
+
+    monkeypatch.setattr(numerics, "_block_nodes", scan)
+    monkeypatch.setattr(numerics, "_merge_touching", scan)
+    oracle = grid_oracle_2(ModelParams(*params), sensors, step)
+    argmin, min_value, refined = expected
+    assert tuple(x.hex() for x in oracle.argmin) == argmin
+    assert oracle.min_value.hex() == min_value
+    assert oracle.refined is refined
 
 
 def test_grid_oracle_1_memory_is_about_the_lattice():
@@ -406,6 +432,8 @@ def test_grid_oracles_reject_an_overflowing_lattice():
         grid_oracle_1(ModelParams(1e308, 3.0, 1.0), 1.0, step=1e-4)
     with pytest.raises(ValueError, match="lattice cost overflows"):
         grid_oracle_2(ModelParams(1e308, 3.0, 1.0), (1.0, 1.0), step=1e-2)
+    with pytest.raises(ValueError, match="lattice cost overflows"):
+        lattice_cwlms(ModelParams(1e308, 3.0, 1.0), (1.0, 1.0), step=1e-2)
     # finite costs near the top of the float range still give an answer
     assert math.isfinite(grid_oracle_2(ModelParams(1e300, 3.0, 1.0), (1.0, 1.0), 1e-2).min_value)
 
@@ -413,12 +441,15 @@ def test_grid_oracles_reject_an_overflowing_lattice():
 def test_grid_oracle_input_validation():
     with pytest.raises(ValueError):
         grid_oracle_1(ModelParams(1.0, 1.0, 1.0), 1.0, step=0.0)
-    with pytest.raises(ValueError):
-        grid_oracle_2(ModelParams(1.0, 1.0, 1.0), (1.0, 1.0, 1.0), step=1e-3)
     params = ModelParams(1.0, 1.0, 1.0)
-    for sensors in [(-0.5, 1.0), (1.0, math.nan), (-1.0, -1.0)]:
-        with pytest.raises(ValueError, match="must be >= 0"):
-            grid_oracle_2(params, sensors, step=1e-2)
+    for two in (grid_oracle_2, lattice_cwlms):
+        with pytest.raises(ValueError):
+            two(params, (1.0, 1.0, 1.0), step=1e-3)
+        with pytest.raises(ValueError):
+            two(params, (1.0, 1.0), step=0.0)
+        for sensors in [(-0.5, 1.0), (1.0, math.nan), (-1.0, -1.0)]:
+            with pytest.raises(ValueError, match="must be >= 0"):
+                two(params, sensors, step=1e-2)
     for sensor in [-0.5, math.nan]:
         with pytest.raises(ValueError, match="must be >= 0"):
             grid_oracle_1(params, sensor, step=1e-2)

@@ -347,10 +347,9 @@ def test_unique_coordinatewise_minimum_on_grid():
         if per_regime[sol.regime] >= 4:
             continue
         per_regime[sol.regime] += 1
-        oracle = numerics.grid_oracle_2(ModelParams(sigma2, T, v0), (v1, v2), step=4e-3)
-        assert oracle.lattice_cwlms is not None
-        assert len(oracle.lattice_cwlms) == 1
-        cwlm = oracle.lattice_cwlms[0]
+        cwlms = numerics.lattice_cwlms(ModelParams(sigma2, T, v0), (v1, v2), step=4e-3)
+        assert len(cwlms) == 1
+        cwlm = cwlms[0]
         assert abs(cwlm[0] - sol.t1_opt) <= 8e-3
         assert abs(cwlm[1] - sol.t2_opt) <= 8e-3
 

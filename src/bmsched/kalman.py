@@ -4,6 +4,12 @@ The latent state is a Brownian motion with diffusion rate ``sigma2``, so the
 estimator variance grows linearly at slope ``sigma2`` between measurements and
 drops at each measurement according to the scalar Kalman update.  Everything
 here is deterministic: only variances are propagated, never state estimates.
+
+Besides :func:`cost`, the only cost formulas are ``_cost_one`` and
+``_cost_two``, for one and two measurements.  They take floats, or numpy
+blocks that they fill in place with the operations, in the order, they take
+on one cell's floats, so a scalar cost rounds as a grid oracle's lattice cell
+(squares are products: CPython's float ``** 2`` calls C ``pow``).
 """
 
 from __future__ import annotations
@@ -276,3 +282,56 @@ def cost(params: ModelParams, sensors: SensorSet, sched: Schedule) -> CostBreakd
     if not math.isfinite(total):
         raise ValueError(f"the cost overflows: its total is {total}")
     return CostBreakdown(total=total, triangular=tri, rectangular=rect)
+
+
+_SCALAR = (float, int)  # one kernel operand; a tuple in the call is built per call
+
+
+def _post_variance(v_sensor: float, pre):
+    """Parallel sum of a scalar sensor variance and pre-measurement variances:
+    one float, or an array overwritten with the result (0 and inf handled)."""
+    if isinstance(pre, _SCALAR):
+        return _parallel_sum(v_sensor, pre)
+    if v_sensor == 0.0:
+        pre.fill(0.0)
+    elif not math.isinf(v_sensor):  # v*0/(v + 0) is already 0 for finite v > 0
+        den = pre + v_sensor
+        pre *= v_sensor
+        pre /= den
+    return pre
+
+
+def _cost_one(sigma2: float, T: float, v0: float, v1: float, t1):
+    """Cost of one measurement at t1 (a float or an array); inf or NaN on overflow."""
+    half = 0.5 * sigma2
+    J = half * t1
+    J *= t1
+    J += v0 * t1
+    rest = T - t1
+    post = _post_variance(v1, v0 + sigma2 * t1)
+    post *= rest
+    rest *= rest
+    rest *= half
+    J += rest
+    J += post
+    return J
+
+
+def _cost_two(sigma2, T, v0, v1, v2, t1, t2):
+    """Cost of measurements at t1 <= t2 (floats or arrays); inf or NaN on overflow."""
+    half = 0.5 * sigma2
+    gap = t2 - t1
+    g1 = _post_variance(v1, v0 + sigma2 * t1)
+    pre = sigma2 * gap
+    pre += g1
+    g2 = _post_variance(v2, pre)
+    rest = T - t2
+    g2 *= rest
+    J = gap * gap
+    J *= half
+    J += half * t1 * t1 + v0 * t1
+    gap *= g1
+    J += gap
+    J += half * (rest * rest)
+    J += g2
+    return J

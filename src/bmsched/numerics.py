@@ -8,11 +8,8 @@ the one-instant oracle keeps each block's minimum, and the two-instant oracle
 fills only the triangle t1 <= t2 of its m x m lattice, in row blocks, keeping
 each block's minimum.  So their memory is a few blocks (the lattice itself is
 one array of m points), whatever m is.  :func:`lattice_cwlms` runs the same
-two-instant fill and also collects its coordinatewise minima.  The
-cost kernels fill a block in place with the operations, in the order, they
-take on one cell's Python floats, on which both oracles refine their lattice
-winner, so a refined cost rounds as a lattice cell (squares are products:
-CPython's float ``** 2`` calls C ``pow``).  An overflowing cost raises ValueError.
+two-instant fill and also collects its coordinatewise minima.  The lattice costs
+come from the kernels of ``kalman``; an overflowing one raises ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kalman import ModelParams, _check_domain, _parallel_sum
+from .kalman import ModelParams, _check_domain, _cost_one, _cost_two
 
 __all__ = [
     "GOLDEN_RATIO_CONJUGATE",
@@ -219,54 +216,6 @@ def _lattice(T: float, step: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
-def _post_variance(v_sensor: float, pre):
-    """Parallel sum of a scalar sensor variance and pre-measurement variances:
-    one float, or an array overwritten with the result (0 and inf handled)."""
-    if isinstance(pre, float):
-        return _parallel_sum(v_sensor, pre)
-    if v_sensor == 0.0:
-        pre.fill(0.0)
-    elif not math.isinf(v_sensor):  # v*0/(v + 0) is already 0 for finite v > 0
-        den = pre + v_sensor
-        pre *= v_sensor
-        pre /= den
-    return pre
-
-
-def _cost_one_lattice(sigma2: float, T: float, v0: float, v1: float, t1):
-    half = 0.5 * sigma2
-    J = half * t1
-    J *= t1
-    J += v0 * t1
-    rest = T - t1
-    post = _post_variance(v1, v0 + sigma2 * t1)
-    post *= rest
-    rest *= rest
-    rest *= half
-    J += rest
-    J += post
-    return J
-
-
-def _cost_two_lattice(sigma2, T, v0, v1, v2, t1, t2):
-    half = 0.5 * sigma2
-    gap = t2 - t1
-    g1 = _post_variance(v1, v0 + sigma2 * t1)
-    pre = sigma2 * gap
-    pre += g1
-    g2 = _post_variance(v2, pre)
-    rest = T - t2
-    g2 *= rest
-    J = gap * gap
-    J *= half
-    J += half * t1 * t1 + v0 * t1
-    gap *= g1
-    J += gap
-    J += half * (rest * rest)
-    J += g2
-    return J
-
-
 def _first_min(minima):
     """The (position, cost) pair, out of each block's first minimum in lattice
     order, that one ``np.argmin`` over the whole lattice would pick: the first
@@ -292,7 +241,7 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     t = _lattice(T, step)
     minima = []
     for k0 in range(0, len(t), _BLOCK_CELLS):
-        Jb = _cost_one_lattice(s, T, v0, sensor, t[k0 : k0 + _BLOCK_CELLS])
+        Jb = _cost_one(s, T, v0, sensor, t[k0 : k0 + _BLOCK_CELLS])
         k = int(np.argmin(Jb))
         minima.append((k0 + k, Jb[k]))
     k, best_J = _first_min(minima)
@@ -301,9 +250,9 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     refined = False
     if hi > lo:
         cand = golden_section_min(
-            lambda x: _cost_one_lattice(s, T, v0, sensor, x), lo, hi, tol=1e-10
+            lambda x: _cost_one(s, T, v0, sensor, x), lo, hi, tol=1e-10
         )
-        cand_J = _cost_one_lattice(s, T, v0, sensor, cand)
+        cand_J = _cost_one(s, T, v0, sensor, cand)
         # keep the lattice point on ties so boundary optima stay exact
         if cand_J < best_J:
             best_t, best_J = cand, cand_J
@@ -386,7 +335,7 @@ def _triangle_blocks(s, T, v0, v1, v2, t):
     while i0 < m:
         i1 = min(m, i0 + max(1, _BLOCK_CELLS // (m - i0)))
         rows = t[i0:i1, None]
-        Jb = _cost_two_lattice(s, T, v0, v1, v2, rows, t[None, i0:])
+        Jb = _cost_two(s, T, v0, v1, v2, rows, t[None, i0:])
         corner = Jb[:, : i1 - i0]
         corner[t[None, i0:i1] < rows] = np.inf
         yield i0, Jb
@@ -419,7 +368,7 @@ def grid_oracle_2(
     best = (float(t[i]), float(t[j]))
 
     def J_scalar(x1, x2):
-        return _cost_two_lattice(s, T, v0, v1, v2, x1, x2)
+        return _cost_two(s, T, v0, v1, v2, x1, x2)
 
     # coordinatewise golden refinement around the winning node; each move is
     # kept only if it strictly improves, so exact boundary optima stay put

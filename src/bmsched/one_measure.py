@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .kalman import _check_domain, _check_positive, _parallel_sum
+from .kalman import _check_domain, _check_positive, _cost_one, _parallel_sum
 
 __all__ = [
     "Regime",
@@ -89,14 +89,11 @@ def cost_single(sigma2: float, T: float, v0: float, v1: float, t1: float) -> flo
 
 
 def _cost_single(sigma2: float, T: float, v0: float, v1: float, t1: float) -> float:
-    """:func:`cost_single` for operands it would accept."""
-    post = _parallel_sum(v1, v0 + sigma2 * t1)
-    return (
-        0.5 * sigma2 * t1 * t1
-        + v0 * t1
-        + 0.5 * sigma2 * (T - t1) ** 2
-        + post * (T - t1)
-    )
+    """:func:`cost_single` for operands it would accept; ValueError on overflow."""
+    J = _cost_one(sigma2, T, v0, v1, t1)
+    if not J < math.inf:  # also NaN
+        raise ValueError(f"the cost overflows: it is {J}")
+    return J
 
 
 def cost_derivative(sigma2: float, T: float, v0: float, v1: float, t1: float) -> float:
@@ -227,7 +224,7 @@ def upper_bound(sigma2: float, T: float, v0: float) -> float:
     if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v0 >= 0.0):
         _check_positive(sigma2=sigma2, T=T)
         _check_domain(v0=v0)
-    return v0 * T + 0.5 * sigma2 * T * T
+    return _cost_one(sigma2, T, v0, 0.0, T)  # an exact sensor, so no inf*0
 
 
 def window_v0_crit(sigma2: float, T: float, v1: float) -> float:

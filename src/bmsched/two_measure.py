@@ -37,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .kalman import _check_domain, _check_finite, _check_positive, _parallel_sum
+from .kalman import _check_domain, _check_finite, _check_positive, _cost_two, _parallel_sum
 from .numerics import bracketed_root
 from .one_measure import _critical_duration_1, _duration_from_instant, _noise_ratio
 from .one_measure import _optimal_instant
@@ -137,20 +137,13 @@ def _cost_pair(
     sigma2: float, T: float, v0: float, v1: float, v2: float, t1: float, t2: float
 ) -> float:
     """:func:`cost_pair` for validated sigma2, T and variances; the order of
-    the instants is still checked."""
+    the instants is still checked, and an overflow raises ValueError."""
     if not (0.0 <= t1 <= t2 <= T):
         raise ValueError(f"need 0 <= t1 <= t2 <= T, got t1={t1}, t2={t2}, T={T}")
-    gap = t2 - t1
-    post1 = _parallel_sum(v1, v0 + sigma2 * t1)
-    post2 = _parallel_sum(v2, post1 + sigma2 * gap)
-    return (
-        0.5 * sigma2 * t1 * t1
-        + v0 * t1
-        + 0.5 * sigma2 * gap * gap
-        + post1 * gap
-        + 0.5 * sigma2 * (T - t2) ** 2
-        + post2 * (T - t2)
-    )
+    J = _cost_two(sigma2, T, v0, v1, v2, t1, t2)
+    if not J < math.inf:  # also NaN
+        raise ValueError(f"the cost overflows: it is {J}")
+    return J
 
 
 def cost_derivative_t1(

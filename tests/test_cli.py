@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bmsched import cli, numerics
+from bmsched import cli, experiments, numerics
 from bmsched.cli import parse_real, render_csv, run
 
 
@@ -342,6 +342,33 @@ def test_sweep_json_and_csv(tmp_path, capsys):
     assert lines[0] == "v0,v1,cost_regular,cost_optimal,gain"
     assert len(lines) == 10
     assert all("." in cell or cell for cell in lines[1].split(","))
+
+
+# rows of each committed sweep spec, at the sizes it records: the two gain
+# maps are 101 x 101 grids (the two-measure one in three v0 panels)
+SPEC_ROWS = {
+    "gain1": 101 * 101,
+    "gain2": 3 * 101 * 101,
+    "instants_vs_T": 200,
+    "bounds1": 200,
+    "descent_stats": 100,
+    "windows": 20,
+}
+
+
+def test_committed_sweep_specs_run(tmp_path, capsys):
+    """Every spec under specs/ runs as its README command does, one CSV row
+    per cell or run, and there is one spec per sweep kind."""
+    specs = sorted((Path(__file__).parents[1] / "specs").glob("*.json"))
+    assert sorted(path.stem for path in specs) == sorted(SPEC_ROWS)
+    assert sorted(SPEC_ROWS) == sorted(experiments.SWEEP_KINDS)
+    for path in specs:
+        out_path = tmp_path / f"{path.stem}.csv"
+        status, out = run_cli(capsys, "sweep", "--spec", str(path), "--format", "csv",
+                              "--output", str(out_path))
+        assert (status, out) == (0, ""), path.name
+        assert json.loads(path.read_text())["kind"] == path.stem
+        assert len(out_path.read_text().splitlines()) == 1 + SPEC_ROWS[path.stem], path.name
 
 
 def test_sweep_bad_spec(tmp_path, capsys):

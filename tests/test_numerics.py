@@ -6,7 +6,7 @@ import pytest
 
 import _golden
 from _props import deadline, finite_diff
-from bmsched import numerics
+from bmsched import kalman, numerics
 from bmsched.kalman import ModelParams
 from bmsched.numerics import (
     GOLDEN_RATIO_CONJUGATE,
@@ -18,6 +18,7 @@ from bmsched.numerics import (
     grid_oracle_2,
     lattice_cwlms,
 )
+from bmsched.one_measure import cost_single
 from bmsched.two_measure import cost_pair, equilibrium_gap, optimal_gap
 
 
@@ -396,14 +397,62 @@ def test_lattice_kernels_round_as_on_one_cells_floats(v0, sensors):
     t = np.sort(rng.uniform(0.0, T, 160))
     t[0], t[-1] = 0.0, T
     rows, cols = t[:70, None], t[None, 70:]  # every cell has t1 <= t2
-    block = numerics._cost_two_lattice(sigma2, T, v0, v1, v2, rows, cols)
+    block = kalman._cost_two(sigma2, T, v0, v1, v2, rows, cols)
     assert np.isfinite(block).all()
     for (i, j), cost in np.ndenumerate(block):
-        cell = numerics._cost_two_lattice(sigma2, T, v0, v1, v2, float(t[i]), float(t[70 + j]))
+        cell = kalman._cost_two(sigma2, T, v0, v1, v2, float(t[i]), float(t[70 + j]))
         assert float(cost).hex() == cell.hex(), (i, j)
-    line = numerics._cost_one_lattice(sigma2, T, v0, v1, t)
+    line = kalman._cost_one(sigma2, T, v0, v1, t)
     for k, cost in enumerate(line):
-        assert float(cost).hex() == numerics._cost_one_lattice(sigma2, T, v0, v1, float(t[k])).hex()
+        assert float(cost).hex() == kalman._cost_one(sigma2, T, v0, v1, float(t[k])).hex()
+    # the scalar API runs the same kernels, so it prices each cell the same
+    for (i, j), cost in np.ndenumerate(block):
+        scalar = cost_pair(sigma2, T, v0, v1, v2, float(t[i]), float(t[70 + j]))
+        assert scalar.hex() == float(cost).hex(), (i, j)
+    for k, cost in enumerate(line):
+        assert cost_single(sigma2, T, v0, v1, float(t[k])).hex() == float(cost).hex()
+
+
+def test_oracle_minima_are_scalar_costs_at_their_argmin():
+    """grid_oracle_1 and grid_oracle_2 report as their minimum the bits that
+    cost_single and cost_pair give at their argmin, refined or not."""
+    for params, sensors, step in [
+        ((1.0179193774900273, 3.9583694138909227, 1.1172010692074625),
+         (1.250526723407277, 2.29926210583218), 2e-3),
+        ((1.0, 71.0 / 18.0, 1.0), (1.0, 1.0), 1e-2),
+        ((0.3, 2.0, 0.0), (0.0, 0.7), 1e-2),
+        ((1.0, 2.0, 0.5), (math.inf, math.inf), 4e-3),
+        # refined minima that a scalar formula of its own rounds differently
+        ((2.423508511283672, 1.8654069898952415, 0.5662719520571262),
+         (3.9540912877605985, 0.24437172360771134), 0.03730813979790483),
+        ((0.10743832658005177, 7.29603310919821, 0.28385050156148545),
+         (0.33811675894728044, 1.4749370833215716), 0.1459206621839642),
+    ]:
+        sigma2, T, v0 = params
+        two = grid_oracle_2(ModelParams(*params), sensors, step)
+        assert two.min_value.hex() == cost_pair(sigma2, T, v0, *sensors, *two.argmin).hex()
+        one = grid_oracle_1(ModelParams(*params), sensors[0], step)
+        assert one.min_value.hex() == cost_single(sigma2, T, v0, sensors[0], *one.argmin).hex()
+
+
+def test_block_nodes_compare_the_last_row_with_the_row_below():
+    """A cell of a block's last row that beats its left, right and upper
+    neighbors is no coordinatewise minimum when the row below, which the
+    next block holds, beats it."""
+    inf = math.inf
+    # rows 1 and 2 of a 5 x 5 lattice from column 1 on; cell (2, 1) lies
+    # below the diagonal
+    block = np.array([[3.0, 2.0, 2.0, 3.0],
+                      [inf, 2.0, 1.0, 2.0]])
+    above = np.full(4, 3.0)  # row 0 from column 1 on
+    nodes = {}
+    rim = numerics._block_nodes(1, block, above, np.array([0.5, 3.0]), nodes)
+    assert (2, 3) not in nodes
+    assert rim.tolist() == [1.0, 2.0]  # row 2 from column 3 on: the next block's above
+    # with a row below that does not beat it, the same cell is a node
+    nodes = {}
+    numerics._block_nodes(1, block, above, np.array([3.0, 3.0]), nodes)
+    assert nodes[2, 3] == 1.0
 
 
 def test_grid_oracles_leave_their_lattice_unchanged(monkeypatch):

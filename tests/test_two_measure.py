@@ -1,6 +1,8 @@
 import inspect
+import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -453,7 +455,7 @@ def test_t1_line_search_roots_the_slope(monkeypatch):
     for (sigma2, T, v0, v1, v2, t2), t1 in searches:
         assert 0.0 <= t1 <= t2
         lattice = np.linspace(0.0, t2, 4001)
-        best = float(np.min(numerics._cost_two_lattice(sigma2, T, v0, v1, v2, lattice, t2)))
+        best = float(np.min(kalman._cost_two(sigma2, T, v0, v1, v2, lattice, t2)))
         assert cost_pair(sigma2, T, v0, v1, v2, t1, t2) <= best * (1.0 + 1e-14)
         reach = 1e-12 * max(1.0, t2)
         if t1 - reach > 0.0:
@@ -653,6 +655,53 @@ def test_exact_and_useless_sensors_are_accepted(fn, args):
     # a sensor of variance 0 (or -0.0) is exact and one of variance inf
     # carries no information; the two-measure solvers take only finite ones
     fn(*args)
+
+
+_PROBE_VALUES = (-1.0, 0.0, -0.0, 5e-324, 1e-300, 1e-200, 0.5, 1.0, 4.0, 1e200, 1e300,
+                 sys.float_info.max, math.inf, -math.inf, math.nan)
+
+
+def _probe_calls(base):
+    """``base`` with each argument, and each pair of arguments, replaced by
+    every value of ``_PROBE_VALUES``; each distinct argument tuple once, with
+    -0.0 told apart from 0.0."""
+    calls = {}
+    for k in (1, 2):
+        for where in itertools.combinations(range(len(base)), k):
+            for values in itertools.product(_PROBE_VALUES, repeat=k):
+                args = list(base)
+                for i, x in zip(where, values):
+                    args[i] = x
+                calls.setdefault(tuple(x.hex() for x in args), tuple(args))
+    return list(calls.values())
+
+
+def test_scalar_costs_are_finite_or_raise():
+    """On 11,926 calls at extreme, signed, infinite and NaN arguments, the
+    scalar costs and the solvers return a finite cost or raise ValueError
+    (a domain error, overflow included) or RuntimeError (a solver failure);
+    an overflowing cost never comes back as inf or NaN."""
+    base2 = (1.0, 3.0, 1.0, 1.0, 1.0)
+    probes = [
+        (one_measure.cost_single, (1.0, 3.0, 1.0, 1.0, 1.0)),
+        (one_measure.optimal_instant_1, (1.0, 3.0, 1.0, 1.0)),
+        (cost_pair, (1.0, 3.0, 1.0, 1.0, 1.0, 1.0, 2.0)),
+        (optimize_two, base2),
+        (descend_two, base2),
+    ]
+    calls = finite = 0
+    for fn, base in probes:
+        for args in _probe_calls(base):
+            calls += 1
+            try:
+                result = fn(*args)
+            except (ValueError, RuntimeError):
+                continue
+            cost = result if isinstance(result, float) else result.cost_at_opt
+            assert math.isfinite(cost), (fn.__name__, args)
+            finite += 1
+    assert calls == 11_926
+    assert finite == 3_155
 
 
 def test_golden_solutions_are_bit_identical():

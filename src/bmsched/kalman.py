@@ -284,7 +284,7 @@ def cost(params: ModelParams, sensors: SensorSet, sched: Schedule) -> CostBreakd
     return CostBreakdown(total=total, triangular=tri, rectangular=rect)
 
 
-_SCALAR = (float, int)  # one kernel operand; a tuple in the call is built per call
+_SCALAR = (float, int)  # no array; a constant, as a tuple in the call is rebuilt per call
 
 
 def _post_variance(v_sensor: float, pre):

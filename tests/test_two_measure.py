@@ -677,17 +677,17 @@ def _probe_calls(base):
 
 
 def test_scalar_costs_are_finite_or_raise():
-    """On 11,926 calls at extreme, signed, infinite and NaN arguments, the
-    scalar costs and the solvers return a finite cost or raise ValueError
-    (a domain error, overflow included) or RuntimeError (a solver failure);
-    an overflowing cost never comes back as inf or NaN."""
-    base2 = (1.0, 3.0, 1.0, 1.0, 1.0)
+    """On 11,926 calls around sigma2 = 1, T = 3, unit variances, t1 = 1 and
+    t2 = 2, at extreme, signed, infinite and NaN arguments, the scalar costs
+    and the solvers return a finite cost or raise ValueError (a domain
+    error, overflow included) or RuntimeError (a solver failure); an
+    overflowing cost never comes back as inf or NaN."""
     probes = [
         (one_measure.cost_single, (1.0, 3.0, 1.0, 1.0, 1.0)),
         (one_measure.optimal_instant_1, (1.0, 3.0, 1.0, 1.0)),
         (cost_pair, (1.0, 3.0, 1.0, 1.0, 1.0, 1.0, 2.0)),
-        (optimize_two, base2),
-        (descend_two, base2),
+        (optimize_two, (1.0, 3.0, 1.0, 1.0, 1.0)),
+        (descend_two, (1.0, 3.0, 1.0, 1.0, 1.0)),
     ]
     calls = finite = 0
     for fn, base in probes:

@@ -145,7 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p2.add_argument(
         "--tol", type=parse_positive, default=None,
-        help="solve regime 3 by coordinate descent with this step tolerance (default 1e-9)",
+        help="solve regime 3 by coordinate descent with this step tolerance, "
+             "a fraction of T (default 1e-9)",
     )
     p2.add_argument(
         "--max-iters", type=int, default=None,

@@ -15,9 +15,9 @@ In regime 3 the optimum solves a two-equation stationarity system.
 v_k/(sigma2*T)) as one root: for a fixed first instant the best second one is
 closed-form, so the optimal u1 is the single sign change of the t1 slope
 along that curve.  ``descend_two`` keeps the paper's algorithm as the
-reference: coordinate descent whose t1 line searches find the sign change of
-the t1 slope on [0, t2], always cross-checked against that reduced root.  It
-returns the descent's trace.  Both find a sign change the same way: the
+reference: coordinate descent in the same units, whose t1 line searches find
+the sign change of the t1 slope on [0, u2], cross-checked against that root.
+It returns the descent's trace.  Both find a sign change the same way: the
 slope at the two ends of the interval first, then Chandrupatla's method on
 the bracket they give, in about 6 to 7 slope evaluations.
 
@@ -83,15 +83,16 @@ class CubicCoeffs:
         return ((self.a * x + self.b) * x + self.c) * x + self.d
 
 
-# largest allowed distance, in t1 or t2, between the descent and the reduced
-# regime-3 root
+# largest distance in t1/T or t2/T allowed between the descent and the root
 _CROSS_CHECK_TOL = 1e-5
-# bracket width of the root of a slope on [0, hi], relative to max(1, hi)
+# bracket width of the root of a slope on [0, hi], with hi <= 1 in units of T
 _ROOT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class DescentOptions:
+    """Stop rules of :func:`descend_two`; ``step_tol`` is a fraction of T."""
+
     step_tol: float = 1e-9
     max_iterations: int = 200
 
@@ -101,9 +102,9 @@ class DescentTrace:
     """Per-iteration record of the coordinate descent.
 
     Iteration 0 is the starting point (its step sizes are NaN); later entries
-    hold (t1, t2, cost, |step in t1|, |step in t2|).  ``final_gap`` is
-    optimal_gap - equilibrium_gap at the returned t1 and vanishes at the
-    regime-3 optimum.
+    hold (t1, t2, cost, |step in t1|, |step in t2|) at the caller's scale.
+    ``final_gap`` is optimal_gap - equilibrium_gap at the returned t1 and
+    vanishes at the regime-3 optimum.
     """
 
     iterations: tuple[tuple[float, float, float, float, float], ...]
@@ -196,11 +197,11 @@ def _slope_sign_change(slope, hi: float, slope_hi: float | None = None) -> float
     """Minimizer over [0, hi] of a function whose slope changes sign at most
     once, from - to +: 0 when the slope at 0 is already >= 0, hi when the
     slope at hi (``slope_hi``, if known) is still <= 0, and otherwise the
-    root of ``slope`` by Chandrupatla's method to a bracket of
-    1e-13*max(1, hi).  The root is found deterministically, where a search
-    on the function itself would wander over the region of width
-    ~sqrt(eps*J) in which it is flat to float precision.  When hi = 0, 0 is
-    the only point of the interval.
+    root of ``slope`` by Chandrupatla's method to a bracket of 1e-13 (both
+    callers work in units of T, with hi <= 1).  The root is found
+    deterministically, where a search on the function itself would wander
+    over the region of width ~sqrt(eps*J) in which it is flat to float
+    precision.  When hi = 0, 0 is the only point of the interval.
     """
     if hi == 0.0:
         return 0.0
@@ -210,7 +211,7 @@ def _slope_sign_change(slope, hi: float, slope_hi: float | None = None) -> float
     s_hi = slope(hi) if slope_hi is None else slope_hi
     if s_hi <= 0.0:
         return hi
-    return bracketed_root(slope, 0.0, hi, s_lo, s_hi, tol=_ROOT_TOL * max(1.0, hi))
+    return bracketed_root(slope, 0.0, hi, s_lo, s_hi, tol=_ROOT_TOL)
 
 
 def _line_search_t1(
@@ -219,8 +220,7 @@ def _line_search_t1(
     """Minimize t1 -> cost over [0, t2].  The cost is quasi-convex in t1 (its
     slope, a nonnegative prefactor times :func:`_t1_slope_factor`, changes
     sign at most once, from - to +), so this is the sign change of the slope
-    factor.  t2 is 0 at horizons so short that the regime-2 instant rounds
-    to 0."""
+    factor.  An empty interval, t2 = 0, gives 0."""
     return _slope_sign_change(lambda u: _t1_slope_factor(sigma2, T, v0, v1, v2, u, t2), t2)
 
 
@@ -264,6 +264,14 @@ def _largest_real_root(p2: float, p1: float, p0: float) -> float:
     return z - shift
 
 
+def _check_spacing_args(sigma2: float, v0: float, v1: float, v2: float) -> None:
+    """Argument check of the critical spacing and both critical durations."""
+    if not (0.0 < sigma2 < math.inf
+            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
+        _check_positive(sigma2=sigma2)
+        _check_finite(v0=v0, v1=v1, v2=v2)
+
+
 def critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """Largest second-measure instant t2 for which (0, t2) can be optimal.
 
@@ -279,10 +287,7 @@ def critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
     1e-15 (relative) of a 40-digit root for ratios up to about 1e25.  Zero
     when v0 = 0.
     """
-    if not (0.0 < sigma2 < math.inf
-            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
-        _check_positive(sigma2=sigma2)
-        _check_finite(v0=v0, v1=v1, v2=v2)
+    _check_spacing_args(sigma2, v0, v1, v2)
     return _critical_spacing(sigma2, v0, v1, v2)
 
 
@@ -304,19 +309,13 @@ def _critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
 def critical_duration_2_second(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """Largest horizon for which both measurements at 0 is optimal; equals the
     one-measure critical duration with prior v0 || v1 and sensor v2."""
-    if not (0.0 < sigma2 < math.inf
-            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
-        _check_positive(sigma2=sigma2)
-        _check_finite(v0=v0, v1=v1, v2=v2)
+    _check_spacing_args(sigma2, v0, v1, v2)
     return _critical_duration_1(sigma2, _parallel_sum(v0, v1), v2)
 
 
 def critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """Largest horizon for which the first measurement stays at 0."""
-    if not (0.0 < sigma2 < math.inf
-            and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
-        _check_positive(sigma2=sigma2)
-        _check_finite(v0=v0, v1=v1, v2=v2)
+    _check_spacing_args(sigma2, v0, v1, v2)
     return _critical_duration_2_first(sigma2, v0, v1, v2)
 
 
@@ -417,6 +416,15 @@ def _solve(sigma2, T, v0, v1, v2, interior) -> TwoMeasureSolution:
     )
 
 
+def _reduced(sigma2: float, T: float, v0: float, v1: float, v2: float) -> tuple[float, ...]:
+    """a_k = v_k/(sigma2*T), or (v_k/sigma2)/T where sigma2*T is subnormal or
+    underflows to 0; at sigma2 = T = 1 they are the v_k, bit for bit."""
+    scale = sigma2 * T
+    if scale >= sys.float_info.min:
+        return v0 / scale, v1 / scale, v2 / scale
+    return v0 / sigma2 / T, v1 / sigma2 / T, v2 / sigma2 / T
+
+
 def _reduced_root(
     sigma2: float, T: float, v0: float, v1: float, v2: float
 ) -> tuple[float, float, None]:
@@ -427,14 +435,10 @@ def _reduced_root(
     envelope theorem the slope of the reduced cost is the t1 slope there; it
     changes sign once on [0, 1] (at u = 1 the gap is 0, and the slope is
     a0 + 1 > 0 bit for bit, so it is not evaluated), and the final bracket,
-    1e-13 plus a few ulps wide, certifies the root.  Where sigma2*T is
-    subnormal or underflows to 0, a_k is formed as (v_k/sigma2)/T instead.
+    1e-13 plus a few ulps wide, certifies the root.  At sigma2 = T = 1 it
+    returns u1 and u2 bit for bit.
     """
-    scale = sigma2 * T
-    if scale >= sys.float_info.min:
-        a0, a1, a2 = v0 / scale, v1 / scale, v2 / scale
-    else:
-        a0, a1, a2 = v0 / sigma2 / T, v1 / sigma2 / T, v2 / sigma2 / T
+    a0, a1, a2 = _reduced(sigma2, T, v0, v1, v2)
 
     def slope(u: float) -> float:
         g = a0 + u
@@ -460,9 +464,9 @@ def optimize_two(
     sign change, on [0, 1], of the t1 slope along the curve
     u -> (u, u + optimal_gap(u)), found by Chandrupatla's method
     (:func:`numerics.bracketed_root`) in about 6.4 slope evaluations to a
-    bracket of 1e-13 plus a few ulps, as in the t1 line search of
-    :func:`descend_two`.  Its answer is therefore the same fraction of T at
-    every time and variance scale, and the loop always ends: past its
+    bracket of 1e-13 (a fraction of T) plus a few ulps, as in the t1 line
+    search of :func:`descend_two`.  Its answer is therefore the same fraction
+    of T at every time and variance scale, and the loop always ends: past its
     evaluation budget the root raises :class:`numerics.RootBudgetExceeded`,
     a ``RuntimeError``.  The result carries no trace; :func:`descend_two`
     runs the paper's coordinate descent instead.
@@ -475,42 +479,42 @@ def optimize_two(
 def _descend(
     sigma2: float, T: float, v0: float, v1: float, v2: float, opts: DescentOptions
 ) -> tuple[float, float, DescentTrace]:
-    """Coordinate descent from the regime-2 schedule, cross-checked against
-    the reduced regime-3 root; see :func:`descend_two`."""
-    t2 = _optimal_gap(sigma2, T, v0, v1, v2, 0.0)
-    t1 = _line_search_t1(sigma2, T, v0, v1, v2, t2)
-    steps = [(t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), math.nan, math.nan)]
+    """Coordinate descent from the regime-2 schedule in units of T,
+    cross-checked against the reduced regime-3 root; see :func:`descend_two`."""
+    a0, a1, a2 = _reduced(sigma2, T, v0, v1, v2)
+
+    def step(u1: float, u2: float, d1: float, d2: float) -> tuple[float, ...]:
+        t1, t2 = u1 * T, u2 * T
+        return t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), d1 * T, d2 * T
+
+    u2 = _optimal_gap(1.0, 1.0, a0, a1, a2, 0.0)
+    u1 = _line_search_t1(1.0, 1.0, a0, a1, a2, u2)
+    steps = [step(u1, u2, math.nan, math.nan)]
     d1 = d2 = math.nan
-    converged = False
     for _ in range(opts.max_iterations):
-        t2_new = t1 + _optimal_gap(sigma2, T, v0, v1, v2, t1)
-        t1_new = _line_search_t1(sigma2, T, v0, v1, v2, t2_new)
-        d1, d2 = abs(t1_new - t1), abs(t2_new - t2)
-        t1, t2 = t1_new, t2_new
-        steps.append((t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), d1, d2))
+        u2_new = u1 + _optimal_gap(1.0, 1.0, a0, a1, a2, u1)
+        u1_new = _line_search_t1(1.0, 1.0, a0, a1, a2, u2_new)
+        d1, d2 = abs(u1_new - u1), abs(u2_new - u2)
+        u1, u2 = u1_new, u2_new
+        steps.append(step(u1, u2, d1, d2))
         if d1 < opts.step_tol and d2 < opts.step_tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise RuntimeError(
             f"coordinate descent did not converge within {opts.max_iterations} "
-            f"iterations (last steps {d1:.3e}, {d2:.3e})"
+            f"iterations (last steps {d1:.3e}, {d2:.3e} of T)"
         )
 
-    b1, b2, _ = _reduced_root(sigma2, T, v0, v1, v2)
-    if max(abs(b1 - t1), abs(b2 - t2)) > _CROSS_CHECK_TOL:
+    b1, b2, _ = _reduced_root(1.0, 1.0, a0, a1, a2)
+    if max(abs(b1 - u1), abs(b2 - u2)) > _CROSS_CHECK_TOL:
         raise RuntimeError(
             "coordinate descent and the reduced regime-3 root disagree: "
-            f"descent ({t1}, {t2}) vs root ({b1}, {b2})"
+            f"descent t/T = ({u1}, {u2}) vs root ({b1}, {b2})"
         )
 
-    gap_residual = _optimal_gap(sigma2, T, v0, v1, v2, t1) - equilibrium_gap(
-        sigma2, v0, v1, v2, t1
-    )
-    trace = DescentTrace(
-        iterations=tuple(steps), converged=converged, final_gap=gap_residual
-    )
-    return t1, t2, trace
+    gap = _optimal_gap(1.0, 1.0, a0, a1, a2, u1) - _critical_spacing(1.0, a0 + u1, a1, a2)
+    trace = DescentTrace(iterations=tuple(steps), converged=True, final_gap=gap * T)
+    return steps[-1][0], steps[-1][1], trace
 
 
 def descend_two(
@@ -525,27 +529,20 @@ def descend_two(
 
     The reference algorithm.  The regime decision and the closed forms of
     regimes 1 and 2 are those of :func:`optimize_two`.  Regime 3 runs
-    coordinate descent from the regime-2 schedule: the t2 update is the
-    one-measure reduction (:func:`optimal_gap`), the t1 update is a line
-    search that finds the sign change of the t1 slope on [0, t2] with the
-    bracketed Chandrupatla root of :func:`optimize_two`, scaled to
-    max(1, t2), from the slopes at both ends of [0, t2] (the cost is
-    quasi-convex in t1, so its minimizer is that sign change or an end of
-    the interval), and iteration stops when both coordinate steps drop below
-    ``options.step_tol``.  The result is always cross-checked against the
-    reduced root of :func:`optimize_two`, which solves the same stationarity
-    system: either instant more than 1e-5 away from it, like
-    non-convergence, raises ``RuntimeError``.  In regime 3 the solution
-    carries the descent's trace.
+    coordinate descent from the regime-2 schedule in the units of
+    :func:`optimize_two` (u = t/T, a_k = v_k/(sigma2*T)): the t2 update is
+    the one-measure reduction (:func:`optimal_gap`), and the t1 update finds
+    the sign change of the t1 slope on [0, u2] with the bracketed root of
+    :func:`optimize_two` (the cost is quasi-convex in t1, so its minimizer is
+    that sign change or an end of the interval).
 
-    The stop rules and the cross-check's 1e-5 are absolute widths in time,
-    so the descent is only as good as they are at the problem's time scale.
-    At large scales it can fail to converge where :func:`optimize_two` does
-    not.  At small scales it returns wrong schedules without an error:
-    ``descend_two(1.0, 1e-6, 3e-7, 2e-7, 4e-7)`` stops, converged, at
-    t1/T = 0.260342 against 0.260364 from :func:`optimize_two`, and
-    ``descend_two(1e-200, 1e-200, 0, 0, 0)`` returns (0, 0) against
-    (T/3, 2T/3).
+    Every stop rule is a fraction of T.  Iteration stops when both
+    coordinate steps drop below ``options.step_tol`` times T, and the result
+    is always cross-checked against the reduced root of :func:`optimize_two`,
+    which solves the same stationarity system: either instant more than
+    1e-5*T away from it, like non-convergence, raises ``RuntimeError``.  So
+    t/T and the pass or fail do not depend on the time and variance scale,
+    up to rounding.  In regime 3 the solution carries the descent's trace.
     """
     opts = options or DescentOptions()
     return _solve(sigma2, T, v0, v1, v2, lambda *args: _descend(*args, opts))

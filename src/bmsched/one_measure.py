@@ -43,12 +43,21 @@ class Regime(enum.Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)  # __init__: see kalman.ModelParams
 class OneMeasureSolution:
+    """Optimal instant and its cost.  Regime "1" (``t_opt`` = 0) holds below
+    ``critical_duration``, ``BOUNDARY`` on it and "2" (interior) past it."""
+
     t_opt: float
     regime: Regime
     cost_at_opt: float
     critical_duration: float
+
+    def __init__(self, t_opt, regime, cost_at_opt, critical_duration):
+        self.__dict__["t_opt"] = t_opt
+        self.__dict__["regime"] = regime
+        self.__dict__["cost_at_opt"] = cost_at_opt
+        self.__dict__["critical_duration"] = critical_duration
 
 
 @dataclass(frozen=True)
@@ -178,12 +187,7 @@ def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasu
         regime = Regime.BOUNDARY
     else:
         regime = Regime.REGIME2
-    return OneMeasureSolution(
-        t_opt=t_opt,
-        regime=regime,
-        cost_at_opt=_cost_single(sigma2, T, v0, v1, t_opt),
-        critical_duration=t_crit,
-    )
+    return OneMeasureSolution(t_opt, regime, _cost_single(sigma2, T, v0, v1, t_opt), t_crit)
 
 
 def duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kalman import _check_domain, _check_finite, _check_positive, _cost_two, _parallel_sum
 from .numerics import bracketed_root
@@ -112,15 +112,28 @@ class DescentTrace:
     final_gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)  # __init__: see kalman.ModelParams
 class TwoMeasureSolution:
+    """Optimal instants and their cost.  Regime "1" (both at 0) holds up to
+    ``T2_crit``, "2" (``t1_opt`` = 0) up to ``T1_crit`` and "3" (both interior)
+    past it.  ``trace`` is set only by :func:`descend_two`, in regime 3."""
+
     t1_opt: float
     t2_opt: float
     regime: TwoMeasureRegime
     cost_at_opt: float
     T2_crit: float
     T1_crit: float
-    trace: DescentTrace | None = field(default=None)
+    trace: DescentTrace | None = None
+
+    def __init__(self, t1_opt, t2_opt, regime, cost_at_opt, T2_crit, T1_crit, trace=None):
+        self.__dict__["t1_opt"] = t1_opt
+        self.__dict__["t2_opt"] = t2_opt
+        self.__dict__["regime"] = regime
+        self.__dict__["cost_at_opt"] = cost_at_opt
+        self.__dict__["T2_crit"] = T2_crit
+        self.__dict__["T1_crit"] = T1_crit
+        self.__dict__["trace"] = trace
 
 
 def cost_pair(
@@ -405,15 +418,8 @@ def _solve(sigma2, T, v0, v1, v2, interior) -> TwoMeasureSolution:
         t1, t2 = 0.0, _optimal_gap(sigma2, T, v0, v1, v2, 0.0)
     else:
         t1, t2, trace = interior(sigma2, T, v0, v1, v2)
-    return TwoMeasureSolution(
-        t1_opt=t1,
-        t2_opt=t2,
-        regime=regime,
-        cost_at_opt=_cost_pair(sigma2, T, v0, v1, v2, t1, t2),
-        T2_crit=t2_crit,
-        T1_crit=t1_crit,
-        trace=trace,
-    )
+    cost = _cost_pair(sigma2, T, v0, v1, v2, t1, t2)
+    return TwoMeasureSolution(t1, t2, regime, cost, t2_crit, t1_crit, trace)
 
 
 def _reduced(sigma2: float, T: float, v0: float, v1: float, v2: float) -> tuple[float, ...]:

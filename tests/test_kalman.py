@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -17,6 +20,8 @@ from bmsched.kalman import (
     posterior_variance_sequence,
     variance_profile,
 )
+from bmsched.one_measure import OneMeasureSolution, Regime
+from bmsched.two_measure import TwoMeasureRegime, TwoMeasureSolution
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
@@ -371,3 +376,72 @@ def test_cost_degrades_with_worse_information():
 
 def test_cost_breakdown_type():
     assert CostBreakdown(1.0, 0.4, 0.6).total == 1.0
+
+
+# Each case: the record, its fields by position (a trailing default left out),
+# the same by keyword, its repr, a valid change for dataclasses.replace, and an
+# invalid one with the message the record's own check raises (None: no check).
+RECORD_CASES = {
+    "ModelParams": (
+        ModelParams, (1.0, 3.0, 0.5),
+        dict(sigma2=1.0, horizon=3.0, prior_variance=0.5),
+        "ModelParams(sigma2=1.0, horizon=3.0, prior_variance=0.5)",
+        dict(horizon=2.0),
+        (dict(sigma2=0.0), "sigma2 must be positive and finite, got 0.0"),
+    ),
+    "CostBreakdown": (
+        CostBreakdown, (1.0, 0.25, 0.75),
+        dict(total=1.0, triangular=0.25, rectangular=0.75),
+        "CostBreakdown(total=1.0, triangular=0.25, rectangular=0.75)",
+        dict(total=2.0), None,
+    ),
+    "SensorSet": (
+        SensorSet, ((1.0, math.inf),), dict(variances=(1.0, math.inf)),
+        "SensorSet(variances=(1.0, inf))",
+        dict(variances=(0.5,)),
+        (dict(variances=(-1.0,)), "sensor variances must be >= 0 (or inf), got -1.0"),
+    ),
+    "Schedule": (
+        Schedule, ((0.5, 2.0),), dict(instants=(0.5, 2.0)),
+        "Schedule(instants=(0.5, 2.0))",
+        dict(instants=(1.0,)),
+        (dict(instants=(2.0, 0.5)),
+         "instants must be nondecreasing and >= 0, got (2.0, 0.5)"),
+    ),
+    "OneMeasureSolution": (
+        OneMeasureSolution, (1.5, Regime.REGIME2, 2.25, 0.5),
+        dict(t_opt=1.5, regime=Regime.REGIME2, cost_at_opt=2.25, critical_duration=0.5),
+        "OneMeasureSolution(t_opt=1.5, regime=<Regime.REGIME2: '2'>, cost_at_opt=2.25,"
+        " critical_duration=0.5)",
+        dict(t_opt=0.0, regime=Regime.REGIME1), None,
+    ),
+    "TwoMeasureSolution": (
+        TwoMeasureSolution, (1.0, 2.0, TwoMeasureRegime.REGIME3, 1.5, 0.25, 0.75),
+        dict(t1_opt=1.0, t2_opt=2.0, regime=TwoMeasureRegime.REGIME3, cost_at_opt=1.5,
+             T2_crit=0.25, T1_crit=0.75, trace=None),
+        "TwoMeasureSolution(t1_opt=1.0, t2_opt=2.0, regime=<TwoMeasureRegime.REGIME3: '3'>,"
+        " cost_at_opt=1.5, T2_crit=0.25, T1_crit=0.75, trace=None)",
+        dict(t1_opt=0.0), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_CASES.values(), ids=RECORD_CASES.keys())
+def test_records_keep_the_frozen_dataclass_contract(case):
+    cls, args, kwargs, shown, change, invalid = case
+    record = cls(*args)
+    assert [f.name for f in dataclasses.fields(cls)] == list(kwargs)
+    assert record == cls(**kwargs)
+    assert hash(record) == hash(cls(**kwargs))
+    assert repr(record) == shown
+    assert dataclasses.astuple(record) == tuple(kwargs.values())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, next(iter(kwargs)), None)
+    changed = dataclasses.replace(record, **change)
+    assert changed == cls(**{**kwargs, **change}) and changed != record
+    if invalid is not None:
+        bad, message = invalid
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(record, **bad)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record and repr(copied) == shown

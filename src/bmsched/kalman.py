@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -189,15 +190,18 @@ def parallel_sum(a: float, b: float) -> float:
     return _parallel_sum(a, b)
 
 
+# Hot bodies (unchecked, run per slope evaluation or per solve) stay in one frame and
+# compute no value twice where they can.  Their operands are >= 0: ``x == inf`` tests
+# math.isinf(x), and ``t if t > 0.0 else 0.0`` is max(0.0, t), for -0.0 and NaN too.
 def _parallel_sum(a: float, b: float) -> float:
     """:func:`parallel_sum` for operands already known to be >= 0 (or inf)."""
     if a == 0.0 or b == 0.0:
         return 0.0
-    if math.isinf(a):
-        if math.isinf(b):
+    if a == inf:
+        if b == inf:
             raise ValueError("parallel_sum operands cannot both be inf")
         return b
-    if math.isinf(b):
+    if b == inf:
         return a
     return a * b / (a + b)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from math import inf
 
 from .kalman import _check_domain, _check_positive, _cost_one, _parallel_sum
 
@@ -81,7 +82,7 @@ def _noise_ratio(v1: float, g: float) -> float:
     """v1 / (v1 + g) with its 0/0 and inf limits."""
     if v1 == 0.0:
         return 0.0
-    if math.isinf(v1):
+    if v1 == inf:  # hot body: see kalman._parallel_sum
         return 1.0
     return v1 / (v1 + g)
 
@@ -138,17 +139,17 @@ def critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
 def _critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
     if v0 == 0.0:
         return 0.0
-    ratio = 1.0 if math.isinf(v1) else v1 / (v0 + v1)
+    ratio = 1.0 if v1 == inf else v1 / (v0 + v1)  # hot body: see kalman._parallel_sum
     return v0 / (sigma2 * (ratio + 1.0))
 
 
-def _optimal_instant(sigma2: float, T: float, v0: float, v1: float) -> float:
-    """The instant of :func:`optimal_instant_1`, for operands it would accept:
-    0 up to the critical duration, the interior stationary point past it."""
-    if T <= _critical_duration_1(sigma2, v0, v1):
+def _optimal_instant(sigma2: float, T: float, v0: float, v1: float, t_crit=None) -> float:
+    """The instant of :func:`optimal_instant_1`, for operands it would accept: 0 up to
+    the critical duration ``t_crit`` (None: compute it), the stationary point past it."""
+    if T <= (_critical_duration_1(sigma2, v0, v1) if t_crit is None else t_crit):
         return 0.0
-    if math.isinf(v1):
-        t_opt = max(0.0, (2.0 * sigma2 * T - v0) / (3.0 * sigma2))
+    if v1 == inf:  # hot body: see kalman._parallel_sum
+        t = (2.0 * sigma2 * T - v0) / (3.0 * sigma2)
     else:
         # Discriminant in factored form (sigma2*T+v0+v1)(sigma2*T+v0+9*v1)
         # to avoid cancellation for large v1.  The numerator sqrt(disc) - b,
@@ -162,11 +163,11 @@ def _optimal_instant(sigma2: float, T: float, v0: float, v1: float) -> float:
             num = 8.0 * (sT * (v0 + 2.0 * v1) - v0 * (v0 + v1)) / (math.sqrt(disc) + b)
         else:
             num = sT - 3.0 * v0 - 3.0 * v1 + math.sqrt(disc)
-        t_opt = max(0.0, num / (4.0 * sigma2))
-    if t_opt > T:
+        t = num / (4.0 * sigma2)
+    if t > T:  # T >= 0, so this is the test on the clamped t
         # reached only by rounding at horizons of a few ulps, or by overflow
-        raise ValueError(f"t1 must lie in [0, T], got t1={t_opt}, T={T}")
-    return t_opt
+        raise ValueError(f"t1 must lie in [0, T], got t1={t}, T={T}")
+    return t if t > 0.0 else 0.0
 
 
 def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasureSolution:
@@ -179,8 +180,8 @@ def optimal_instant_1(sigma2: float, T: float, v0: float, v1: float) -> OneMeasu
     if not (0.0 < sigma2 < math.inf and 0.0 < T < math.inf and v0 >= 0.0 and v1 >= 0.0):
         _check_positive(sigma2=sigma2, T=T)
         _check_domain(v0=v0, v1=v1)
-    t_opt = _optimal_instant(sigma2, T, v0, v1)
     t_crit = _critical_duration_1(sigma2, v0, v1)
+    t_opt = _optimal_instant(sigma2, T, v0, v1, t_crit)
     if T < t_crit:
         regime = Regime.REGIME1
     elif T == t_crit:
@@ -204,7 +205,7 @@ def _duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> fl
     """:func:`duration_from_instant` for operands it would accept, written as
     2*t1 + (v0 - v1*p/(p + 2*v1))/sigma2 with p = v0 + sigma2*t1, which does
     not cancel when v1 dwarfs p."""
-    if math.isinf(v1):
+    if v1 == inf:  # hot body: see kalman._parallel_sum
         # limit of the rational form below
         return 2.0 * t1 + (v0 - sigma2 * t1) / (2.0 * sigma2)
     if v1 == 0.0:

@@ -17,8 +17,8 @@ closed-form, so the optimal u1 is the single sign change of the t1 slope
 along that curve.  ``descend_two`` keeps the paper's algorithm as the
 reference: coordinate descent in the same units, whose t1 line searches find
 the sign change of the t1 slope on [0, u2], cross-checked against that root.
-It returns the descent's trace.  Both find a sign change the same way: the
-slope at the two ends of the interval first, then Chandrupatla's method on
+It returns the descent's trace.  Both root one slope body, ``_reduced_slope``:
+its value at the two ends of the interval first, then Chandrupatla's method on
 the bracket they give, in about 6 to 7 slope evaluations.
 
 Each public function validates its own arguments, under their own names, and
@@ -36,6 +36,8 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from math import inf
 
 from .kalman import _check_domain, _check_finite, _check_positive, _cost_two, _parallel_sum
 from .numerics import bracketed_root
@@ -227,14 +229,30 @@ def _slope_sign_change(slope, hi: float, slope_hi: float | None = None) -> float
     return bracketed_root(slope, 0.0, hi, s_lo, s_hi, tol=_ROOT_TOL)
 
 
-def _line_search_t1(
-    sigma2: float, T: float, v0: float, v1: float, v2: float, t2: float
-) -> float:
-    """Minimize t1 -> cost over [0, t2].  The cost is quasi-convex in t1 (its
-    slope, a nonnegative prefactor times :func:`_t1_slope_factor`, changes
-    sign at most once, from - to +), so this is the sign change of the slope
-    factor.  An empty interval, t2 = 0, gives 0."""
-    return _slope_sign_change(lambda u: _t1_slope_factor(sigma2, T, v0, v1, v2, u, t2), t2)
+def _reduced_slope(a0: float, a1: float, a2: float, u2: float | None, u: float) -> float:
+    """``_t1_slope_factor(1, 1, a0, a1, a2, u, u2)`` bit for bit, u2 = u + optimal_gap(u)
+    when None: the slope of the root and the descent.  A hot body (see
+    kalman._parallel_sum) with a1 || g and a1/(a1 + g) inline, g = a0 + u."""
+    g = a0 + u
+    if a1 == 0.0:
+        prior = ratio = 0.0
+    elif a1 == inf:
+        if g == inf:
+            raise ValueError("parallel_sum operands cannot both be inf")
+        prior, ratio = g, 1.0
+    else:  # a1 * g / (a1 + g) is 0.0 at g = 0, as _parallel_sum's is
+        total = a1 + g
+        prior, ratio = (a1 if g == inf else a1 * g / total), a1 / total
+    u2 = u + _optimal_instant(1.0, 1.0 - u, prior, a2) if u2 is None else u2
+    return _slope_factor(1.0, 1.0, a2, u, u2, g, ratio, prior)
+
+
+def _line_search_t1(a0: float, a1: float, a2: float, u2: float) -> float:
+    """Minimize u1 -> cost over [0, u2] at sigma2 = T = 1.  The cost is quasi-convex
+    in t1 (its slope, a nonnegative prefactor times :func:`_t1_slope_factor`,
+    changes sign at most once, from - to +), so this is the sign change of
+    :func:`_reduced_slope`.  An empty interval, u2 = 0, gives 0."""
+    return _slope_sign_change(partial(_reduced_slope, a0, a1, a2, u2), u2)
 
 
 def cubic_coeffs(v0: float, v1: float, v2: float) -> CubicCoeffs:
@@ -245,10 +263,11 @@ def cubic_coeffs(v0: float, v1: float, v2: float) -> CubicCoeffs:
 
 
 def _cubic_coeffs(v0: float, v1: float, v2: float) -> tuple[float, float, float, float]:
-    a = -((v0 + v1) ** 2) * (v0 + 2.0 * v1)
-    b = (v0 + v1) * (v0**3 - 3.0 * ((v0 + v1) * (v0 + 2.0 * v1) * v2 + v0 * v1 * v1))
-    c = v2 * b + v0 * v0 * (2.0 * v0 + 3.0 * v1) * (v0 * v1 + v0 * v2 + v1 * v2)
-    d = v0 * v0 * (v1 + v2) * (v0 + v1) * (v0 * v1 + 2.0 * v0 * v2 + 3.0 * v1 * v2)
+    s, w, sq = v0 + v1, v0 + 2.0 * v1, v0 * v0  # hot body: see kalman._parallel_sum
+    a = -(s**2) * w  # a power, not s * s: the two round differently
+    b = s * (v0**3 - 3.0 * (s * w * v2 + v0 * v1 * v1))
+    c = v2 * b + sq * (2.0 * v0 + 3.0 * v1) * (v0 * v1 + v0 * v2 + v1 * v2)
+    d = sq * (v1 + v2) * s * (v0 * v1 + 2.0 * v0 * v2 + 3.0 * v1 * v2)
     return a, b, c, d
 
 
@@ -308,7 +327,8 @@ def _critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """:func:`critical_spacing` for validated operands."""
     if v0 == 0.0:
         return 0.0
-    r1, r2 = min(v1 / v0, _RATIO_CAP), min(v2 / v0, _RATIO_CAP)
+    r1, r2 = v1 / v0, v2 / v0  # min() as comparisons: see kalman._parallel_sum
+    r1, r2 = _RATIO_CAP if r1 > _RATIO_CAP else r1, _RATIO_CAP if r2 > _RATIO_CAP else r2
     A, B, C, D = _cubic_coeffs(1.0, r1, r2)
     g = (D / -A) ** (1.0 / 3.0)
     if ((A * g + B) * g + C) * g + D > 0.0 or D == 0.0:
@@ -329,16 +349,16 @@ def critical_duration_2_second(sigma2: float, v0: float, v1: float, v2: float) -
 def critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """Largest horizon for which the first measurement stays at 0."""
     _check_spacing_args(sigma2, v0, v1, v2)
-    return _critical_duration_2_first(sigma2, v0, v1, v2)
+    return _critical_duration_2_first(sigma2, v0, v1, v2, _parallel_sum(v0, v1))
 
 
-def _critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) -> float:
+def _critical_duration_2_first(sigma2, v0, v1, v2, prior) -> float:  # prior: v0 || v1
     if v0 == 0.0:
         # every horizon is regime 3; the formula below would leave a rounding
         # residue of either sign
         return 0.0
     spacing = _critical_spacing(sigma2, v0, v1, v2)
-    return _duration_from_instant(sigma2, spacing, _parallel_sum(v0, v1), v2)
+    return _duration_from_instant(sigma2, spacing, prior, v2)
 
 
 def _classify(
@@ -351,8 +371,9 @@ def _classify(
             and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
         _check_positive(sigma2=sigma2, T=T)
         _check_finite(v0=v0, v1=v1, v2=v2)
-    t2_crit = _critical_duration_1(sigma2, _parallel_sum(v0, v1), v2)
-    t1_crit = _critical_duration_2_first(sigma2, v0, v1, v2)
+    prior = _parallel_sum(v0, v1)  # once: a hot body, see kalman._parallel_sum
+    t2_crit = _critical_duration_1(sigma2, prior, v2)
+    t1_crit = _critical_duration_2_first(sigma2, v0, v1, v2, prior)
     if T <= t2_crit:
         return TwoMeasureRegime.REGIME1, t2_crit, t1_crit
     if T <= t1_crit:
@@ -445,14 +466,7 @@ def _reduced_root(
     returns u1 and u2 bit for bit.
     """
     a0, a1, a2 = _reduced(sigma2, T, v0, v1, v2)
-
-    def slope(u: float) -> float:
-        g = a0 + u
-        prior = _parallel_sum(a1, g)
-        t2 = u + _optimal_instant(1.0, 1.0 - u, prior, a2)
-        return _slope_factor(1.0, 1.0, a2, u, t2, g, _noise_ratio(a1, g), prior)
-
-    u1 = _slope_sign_change(slope, 1.0, a0 + 1.0)
+    u1 = _slope_sign_change(partial(_reduced_slope, a0, a1, a2, None), 1.0, a0 + 1.0)
     return u1 * T, (u1 + _optimal_gap(1.0, 1.0, a0, a1, a2, u1)) * T, None
 
 
@@ -469,13 +483,14 @@ def optimize_two(
     dimensionless units u = t/T, where it reduces to one root: the single
     sign change, on [0, 1], of the t1 slope along the curve
     u -> (u, u + optimal_gap(u)), found by Chandrupatla's method
-    (:func:`numerics.bracketed_root`) in about 6.4 slope evaluations to a
-    bracket of 1e-13 (a fraction of T) plus a few ulps, as in the t1 line
-    search of :func:`descend_two`.  Its answer is therefore the same fraction
-    of T at every time and variance scale, and the loop always ends: past its
-    evaluation budget the root raises :class:`numerics.RootBudgetExceeded`,
-    a ``RuntimeError``.  The result carries no trace; :func:`descend_two`
-    runs the paper's coordinate descent instead.
+    (:func:`numerics.bracketed_root`) in about 6.4 evaluations of the slope
+    body ``_reduced_slope`` to a bracket of 1e-13 (a fraction of T) plus a
+    few ulps, as in the t1 line search of :func:`descend_two`, which roots
+    the same body.  Its answer is the same fraction of T at every time and
+    variance scale, and the loop always ends: past its evaluation budget the
+    root raises :class:`numerics.RootBudgetExceeded`, a ``RuntimeError``.
+    The result carries no trace; :func:`descend_two` runs the paper's
+    coordinate descent instead.
 
     The arguments are validated once, here.
     """
@@ -494,12 +509,12 @@ def _descend(
         return t1, t2, _cost_pair(sigma2, T, v0, v1, v2, t1, t2), d1 * T, d2 * T
 
     u2 = _optimal_gap(1.0, 1.0, a0, a1, a2, 0.0)
-    u1 = _line_search_t1(1.0, 1.0, a0, a1, a2, u2)
+    u1 = _line_search_t1(a0, a1, a2, u2)
     steps = [step(u1, u2, math.nan, math.nan)]
     d1 = d2 = math.nan
     for _ in range(opts.max_iterations):
         u2_new = u1 + _optimal_gap(1.0, 1.0, a0, a1, a2, u1)
-        u1_new = _line_search_t1(1.0, 1.0, a0, a1, a2, u2_new)
+        u1_new = _line_search_t1(a0, a1, a2, u2_new)
         d1, d2 = abs(u1_new - u1), abs(u2_new - u2)
         u1, u2 = u1_new, u2_new
         steps.append(step(u1, u2, d1, d2))

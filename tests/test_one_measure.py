@@ -3,13 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _props import (
     check_one_measure_derivative,
     check_one_measure_shape_properties,
     check_scaling_equivariance,
 )
-from bmsched import numerics
+from bmsched import numerics, one_measure
 from bmsched.kalman import ModelParams, Schedule, SensorSet, variance_profile
 from bmsched.one_measure import (
     Regime,
@@ -93,6 +95,74 @@ def test_optimal_instant_at_tiny_horizons_matches_50_digits(args):
     sol = optimal_instant_1(*args)
     assert sol.regime is Regime.REGIME2
     assert abs(sol.t_opt - exact) <= 1e-13 * args[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1.0, 0.2, 2.0, 1.0),  # regime 1
+        (1.0, 1.0, SQRT2, 1.0),  # on the critical duration
+        (1.0, 7.0 / 6.0, 0.5, 1.0),  # regime 2
+        (1.0, 1.0, 0.0, 1.0),  # no prior variance: critical duration 0
+        (2.0, 3.0, 1.0, math.inf),  # a useless sensor
+        (1.0, 3.0, 1.0, 0.0),  # an exact sensor
+    ],
+)
+def test_optimal_instant_evaluates_the_critical_duration_once(monkeypatch, args):
+    calls = [0]
+    critical = one_measure._critical_duration_1
+
+    def counting(*a):
+        calls[0] += 1
+        return critical(*a)
+
+    monkeypatch.setattr(one_measure, "_critical_duration_1", counting)
+    sol = optimal_instant_1(*args)
+    monkeypatch.undo()
+    assert calls[0] == 1
+    sigma2, T, v0, v1 = args
+    t_crit = critical(sigma2, v0, v1)
+    assert sol.critical_duration.hex() == t_crit.hex()
+    assert sol.t_opt.hex() == one_measure._optimal_instant(sigma2, T, v0, v1).hex()
+    expected = Regime.REGIME1 if T < t_crit else Regime.BOUNDARY if T == t_crit else Regime.REGIME2
+    assert sol.regime is expected
+
+
+_scale = st.floats(min_value=1e-50, max_value=1e50)
+_prior_variance = st.one_of(st.just(0.0), st.floats(min_value=1e-100, max_value=1e100))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    sigma2=_scale,
+    T=_scale,
+    v0=_prior_variance,
+    v1=st.one_of(_prior_variance, st.just(math.inf)),
+    stretch=st.floats(min_value=0.5, max_value=2.0),
+)
+# one ulp past these critical durations the stationary point rounds below 0
+@example(sigma2=0.2, T=1.0, v0=1.861, v1=5.446, stretch=1.0)
+@example(sigma2=5.754, T=1.0, v0=9.415, v1=0.739, stretch=1.0)
+def test_optimal_instant_is_positive_zero_up_to_the_critical_duration(
+    sigma2, T, v0, v1, stretch
+):
+    # besides T, horizons near the critical duration: stretched, and up to 3
+    # ulps off it, where the stationary point rounds to either sign of 0
+    t_crit = one_measure._critical_duration_1(sigma2, v0, v1)
+    horizons = [T]
+    if t_crit > 0.0:
+        horizons.append(stretch * t_crit)
+        below = above = t_crit
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            horizons += [below, above]
+    for T in horizons:
+        t = one_measure._optimal_instant(sigma2, T, v0, v1)
+        if T <= t_crit:
+            assert t.hex() == (0.0).hex(), T
+        else:
+            assert 0.0 <= t <= T, T
+        assert math.copysign(1.0, t) == 1.0, T  # never -0.0
 
 
 def test_duration_from_instant_examples():

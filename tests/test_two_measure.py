@@ -452,7 +452,8 @@ def test_t1_line_search_roots_the_slope(monkeypatch):
             runs += 1
     monkeypatch.undo()
     assert evaluations[0] <= 10 * len(searches)
-    for (sigma2, T, v0, v1, v2, t2), t1 in searches:
+    sigma2 = T = 1.0  # the descent searches in units of T
+    for (v0, v1, v2, t2), t1 in searches:
         assert 0.0 <= t1 <= t2
         lattice = np.linspace(0.0, t2, 4001)
         best = float(np.min(kalman._cost_two(sigma2, T, v0, v1, v2, lattice, t2)))
@@ -822,6 +823,50 @@ def test_regime3_root_evaluates_the_slope_at_zero_once(monkeypatch, time_scale, 
         gap = two_measure._optimal_gap(1.0, 1.0, a0, a1, a2, 1.0)
         at_one = two_measure._t1_slope_factor(1.0, 1.0, a0, a1, a2, 1.0, 1.0 + gap)
         assert (a0 + 1.0).hex() == at_one.hex()
+
+
+def _bits_or_error(f, *args):
+    """The result's bits, or the type and message of the error it raises."""
+    try:
+        return f(*args).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _composed_curve_slope(a0, a1, a2, u):
+    # the reduced root's slope as the helpers compose it
+    g = a0 + u
+    post1 = kalman._parallel_sum(a1, g)
+    u2 = u + two_measure._optimal_gap(1.0, 1.0, a0, a1, a2, u)
+    return two_measure._slope_factor(
+        1.0, 1.0, a2, u, u2, g, one_measure._noise_ratio(a1, g), post1
+    )
+
+
+def test_reduced_slope_is_the_composed_slope_bit_for_bit():
+    # zero, subnormal, tiny, ordinary, huge and infinite dimensionless
+    # variances; a0 = 0 with u = 0 gives g = 0 (and -0.0 with both -0.0), and
+    # a0 = inf gives g = inf
+    operands = [0.0, 5e-324, 1e-300, 0.5, 3.0, 1e300, math.inf]
+    errors = 0
+    for a0 in [-0.0, 0.0, 1e-300, 0.5, 1e300, math.inf]:
+        for a1, a2 in itertools.product(operands, repeat=2):
+            for u in [-0.0, 0.0, 1e-300, 0.37, 1.0]:
+                curve = _bits_or_error(two_measure._reduced_slope, a0, a1, a2, None, u)
+                assert curve == _bits_or_error(_composed_curve_slope, a0, a1, a2, u), (
+                    a0, a1, a2, u
+                )
+                for u2 in [u, 0.5 * (u + 1.0), 1.0]:
+                    fixed = _bits_or_error(two_measure._reduced_slope, a0, a1, a2, u2, u)
+                    composed = _bits_or_error(
+                        two_measure._t1_slope_factor, 1, 1, a0, a1, a2, u, u2
+                    )
+                    assert fixed == composed, (a0, a1, a2, u, u2)
+                    errors += isinstance(fixed, tuple)
+    # the parallel sum of two infinite operands is among the errors matched
+    with pytest.raises(ValueError, match="both be inf"):
+        two_measure._reduced_slope(math.inf, math.inf, 1.0, None, 0.5)
+    assert errors > 0
 
 
 @pytest.mark.parametrize(

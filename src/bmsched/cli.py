@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import experiments, numerics, one_measure, two_measure
-from .kalman import ModelParams, Schedule, SensorSet, variance_profile
+from .kalman import ModelParams, Schedule, SensorSet, cost, variance_profile
 from .one_measure import Regime
 from .two_measure import DescentOptions
 
@@ -240,19 +240,18 @@ def _two_measure_doc(args) -> dict:
 
 def _profile_doc(args) -> dict:
     params = ModelParams(args.sigma2, args.T, args.v0)
-    prof = variance_profile(params, SensorSet(args.sensors), Schedule(args.instants))
-    # kalman.cost, which rounds as this sum over the segments in time order
-    tri = rect = 0.0
-    for start_t, end_t, start_v in prof.segments:
-        dt = end_t - start_t
-        tri += 0.5 * prof.sigma2 * dt * dt
-        rect += start_v * dt
-    if not math.isfinite(tri + rect):
-        raise ValueError(f"the cost overflows: its total is {tri + rect}")
+    sensors = SensorSet(args.sensors)
+    sched = Schedule(args.instants)
+    prof = variance_profile(params, sensors, sched)
+    breakdown = cost(params, sensors, sched)
     return {
         "segments": [list(seg) for seg in prof.segments],
         "post_measure_variances": list(prof.post_measure_variances),
-        "cost": {"total": tri + rect, "triangular": tri, "rectangular": rect},
+        "cost": {
+            "total": breakdown.total,
+            "triangular": breakdown.triangular,
+            "rectangular": breakdown.rectangular,
+        },
     }
 
 

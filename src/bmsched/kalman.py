@@ -191,8 +191,8 @@ def parallel_sum(a: float, b: float) -> float:
 
 
 # Hot bodies (unchecked, run per slope evaluation or per solve) stay in one frame and
-# compute no value twice where they can.  Their operands are >= 0: ``x == inf`` tests
-# math.isinf(x), and ``t if t > 0.0 else 0.0`` is max(0.0, t), for -0.0 and NaN too.
+# compute no value twice where they can.  They may test ``x == inf`` for infinity only
+# where x >= 0, as the callers' checks make every operand here.
 def _parallel_sum(a: float, b: float) -> float:
     """:func:`parallel_sum` for operands already known to be >= 0 (or inf)."""
     if a == 0.0 or b == 0.0:

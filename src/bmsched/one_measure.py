@@ -82,7 +82,7 @@ def _noise_ratio(v1: float, g: float) -> float:
     """v1 / (v1 + g) with its 0/0 and inf limits."""
     if v1 == 0.0:
         return 0.0
-    if v1 == inf:  # hot body: see kalman._parallel_sum
+    if v1 == inf:
         return 1.0
     return v1 / (v1 + g)
 
@@ -139,16 +139,18 @@ def critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
 def _critical_duration_1(sigma2: float, v0: float, v1: float) -> float:
     if v0 == 0.0:
         return 0.0
-    ratio = 1.0 if v1 == inf else v1 / (v0 + v1)  # hot body: see kalman._parallel_sum
+    ratio = 1.0 if v1 == inf else v1 / (v0 + v1)
     return v0 / (sigma2 * (ratio + 1.0))
 
 
-def _optimal_instant(sigma2: float, T: float, v0: float, v1: float, t_crit=None) -> float:
+def _optimal_instant(
+    sigma2: float, T: float, v0: float, v1: float, t_crit: float | None = None
+) -> float:
     """The instant of :func:`optimal_instant_1`, for operands it would accept: 0 up to
     the critical duration ``t_crit`` (None: compute it), the stationary point past it."""
     if T <= (_critical_duration_1(sigma2, v0, v1) if t_crit is None else t_crit):
         return 0.0
-    if v1 == inf:  # hot body: see kalman._parallel_sum
+    if v1 == inf:
         t = (2.0 * sigma2 * T - v0) / (3.0 * sigma2)
     else:
         # Discriminant in factored form (sigma2*T+v0+v1)(sigma2*T+v0+9*v1)
@@ -205,7 +207,7 @@ def _duration_from_instant(sigma2: float, t1: float, v0: float, v1: float) -> fl
     """:func:`duration_from_instant` for operands it would accept, written as
     2*t1 + (v0 - v1*p/(p + 2*v1))/sigma2 with p = v0 + sigma2*t1, which does
     not cancel when v1 dwarfs p."""
-    if v1 == inf:  # hot body: see kalman._parallel_sum
+    if v1 == inf:
         # limit of the rational form below
         return 2.0 * t1 + (v0 - sigma2 * t1) / (2.0 * sigma2)
     if v1 == 0.0:

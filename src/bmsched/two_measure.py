@@ -37,7 +37,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from math import inf
 
 from .kalman import _check_domain, _check_finite, _check_positive, _cost_two, _parallel_sum
 from .numerics import bracketed_root
@@ -230,21 +229,12 @@ def _slope_sign_change(slope, hi: float, slope_hi: float | None = None) -> float
 
 
 def _reduced_slope(a0: float, a1: float, a2: float, u2: float | None, u: float) -> float:
-    """``_t1_slope_factor(1, 1, a0, a1, a2, u, u2)`` bit for bit, u2 = u + optimal_gap(u)
-    when None: the slope of the root and the descent.  A hot body (see
-    kalman._parallel_sum) with a1 || g and a1/(a1 + g) inline, g = a0 + u."""
+    """``_t1_slope_factor(1, 1, a0, a1, a2, u, u2)``, with u2 = u + optimal_gap(u) when
+    None: the one slope body of the regime-3 root and of the descent's line search."""
     g = a0 + u
-    if a1 == 0.0:
-        prior = ratio = 0.0
-    elif a1 == inf:
-        if g == inf:
-            raise ValueError("parallel_sum operands cannot both be inf")
-        prior, ratio = g, 1.0
-    else:  # a1 * g / (a1 + g) is 0.0 at g = 0, as _parallel_sum's is
-        total = a1 + g
-        prior, ratio = (a1 if g == inf else a1 * g / total), a1 / total
+    prior = _parallel_sum(a1, g)
     u2 = u + _optimal_instant(1.0, 1.0 - u, prior, a2) if u2 is None else u2
-    return _slope_factor(1.0, 1.0, a2, u, u2, g, ratio, prior)
+    return _slope_factor(1.0, 1.0, a2, u, u2, g, _noise_ratio(a1, g), prior)
 
 
 def _line_search_t1(a0: float, a1: float, a2: float, u2: float) -> float:
@@ -263,7 +253,7 @@ def cubic_coeffs(v0: float, v1: float, v2: float) -> CubicCoeffs:
 
 
 def _cubic_coeffs(v0: float, v1: float, v2: float) -> tuple[float, float, float, float]:
-    s, w, sq = v0 + v1, v0 + 2.0 * v1, v0 * v0  # hot body: see kalman._parallel_sum
+    s, w, sq = v0 + v1, v0 + 2.0 * v1, v0 * v0
     a = -(s**2) * w  # a power, not s * s: the two round differently
     b = s * (v0**3 - 3.0 * (s * w * v2 + v0 * v1 * v1))
     c = v2 * b + sq * (2.0 * v0 + 3.0 * v1) * (v0 * v1 + v0 * v2 + v1 * v2)
@@ -327,7 +317,7 @@ def _critical_spacing(sigma2: float, v0: float, v1: float, v2: float) -> float:
     """:func:`critical_spacing` for validated operands."""
     if v0 == 0.0:
         return 0.0
-    r1, r2 = v1 / v0, v2 / v0  # min() as comparisons: see kalman._parallel_sum
+    r1, r2 = v1 / v0, v2 / v0
     r1, r2 = _RATIO_CAP if r1 > _RATIO_CAP else r1, _RATIO_CAP if r2 > _RATIO_CAP else r2
     A, B, C, D = _cubic_coeffs(1.0, r1, r2)
     g = (D / -A) ** (1.0 / 3.0)
@@ -352,7 +342,10 @@ def critical_duration_2_first(sigma2: float, v0: float, v1: float, v2: float) ->
     return _critical_duration_2_first(sigma2, v0, v1, v2, _parallel_sum(v0, v1))
 
 
-def _critical_duration_2_first(sigma2, v0, v1, v2, prior) -> float:  # prior: v0 || v1
+def _critical_duration_2_first(
+    sigma2: float, v0: float, v1: float, v2: float, prior: float
+) -> float:
+    """:func:`critical_duration_2_first` given prior = v0 || v1."""
     if v0 == 0.0:
         # every horizon is regime 3; the formula below would leave a rounding
         # residue of either sign
@@ -371,7 +364,7 @@ def _classify(
             and 0.0 <= v0 < math.inf and 0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
         _check_positive(sigma2=sigma2, T=T)
         _check_finite(v0=v0, v1=v1, v2=v2)
-    prior = _parallel_sum(v0, v1)  # once: a hot body, see kalman._parallel_sum
+    prior = _parallel_sum(v0, v1)
     t2_crit = _critical_duration_1(sigma2, prior, v2)
     t1_crit = _critical_duration_2_first(sigma2, v0, v1, v2, prior)
     if T <= t2_crit:

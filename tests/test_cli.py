@@ -1,15 +1,12 @@
-import argparse
 import hashlib
 import json
 import math
-import random
 from pathlib import Path
 
 import pytest
 
 from bmsched import cli, experiments, numerics
 from bmsched.cli import parse_real, render_csv, run
-from bmsched.kalman import ModelParams, Schedule, SensorSet, cost
 
 
 def run_cli(capsys, *argv):
@@ -100,23 +97,6 @@ def test_profile_document(capsys):
     assert doc["cost"]["total"] == pytest.approx(
         doc["cost"]["triangular"] + doc["cost"]["rectangular"], rel=1e-12
     )
-
-
-def test_profile_cost_is_kalman_cost_bit_for_bit():
-    # the profile command sums the segments it prints, in time order, and does
-    # not walk the schedule a second time through kalman.cost
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randrange(0, 6)
-        sigma2, T, v0 = 10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3), rng.uniform(0, 4)
-        instants = sorted(rng.choice([0.0, T, rng.uniform(0, T)]) for _ in range(n))
-        sensors = [rng.choice([0.0, math.inf, rng.uniform(0.01, 5.0)]) for _ in range(n)]
-        args = argparse.Namespace(sigma2=sigma2, T=T, v0=v0, sensors=sensors, instants=instants)
-        doc = cli._profile_doc(args)["cost"]
-        expected = cost(ModelParams(sigma2, T, v0), SensorSet(sensors), Schedule(instants))
-        assert [doc[k].hex() for k in ("total", "triangular", "rectangular")] == [
-            expected.total.hex(), expected.triangular.hex(), expected.rectangular.hex()
-        ], args
 
 
 def test_bounds_document(capsys):

@@ -8,8 +8,16 @@ the one-instant oracle keeps each block's minimum, and the two-instant oracle
 fills only the triangle t1 <= t2 of its m x m lattice, in row blocks, keeping
 each block's minimum.  So their memory is a few blocks (the lattice itself is
 one array of m points), whatever m is.  :func:`lattice_cwlms` runs the same
-two-instant fill and also collects its coordinatewise minima.  The lattice costs
-come from the kernels of ``kalman``; an overflowing one raises ValueError.
+two-instant fill on every block and also collects its coordinatewise minima.
+The lattice costs come from the kernels of ``kalman``; an overflowing one
+raises ValueError.
+
+Both oracles fill only the blocks that can hold the minimum.  Every term of
+a cost is >= 0 and each posterior variance grows with the instants before it,
+so a quadratic bounds the costs of each lattice row (two instants) or block
+(one instant) from below; a block whose bound, shrunk by a relative 1e-12 for
+the kernels' rounding, exceeds the least cost found before it is skipped.  So
+the answer is a full fill's, bit for bit, overflow errors included.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kalman import ModelParams, _check_domain, _cost_one, _cost_two
+from .kalman import ModelParams, _check_domain, _cost_one, _cost_two, _post_variance
 
 __all__ = [
     "GOLDEN_RATIO_CONJUGATE",
@@ -200,12 +208,9 @@ def bracketed_root(
 
 
 # lattice points per block of every oracle's fill and scan: 256 kB per float64
-# temporary, which stays in cache.  On the benchmark's 256 instances of each
-# oracle (2 CPUs, numpy 2.4), a two-instant call at step 2e-3 takes 3.6 to 4.3 ms
-# at 2**14 and 2**15 cells (which of the two wins changes from run to run), 4.8
-# and 5.8 ms at 2**16 and 2**17, a one-instant call at step 1e-5 0.84, 0.89,
-# 1.3 and 2.1 ms at 2**14 to 2**17, and a process running both pools peaks at
-# 37.6 to 54.1 MB RSS
+# temporary, which stays in cache.  On the benchmark's pools (2 CPUs, numpy 2.4)
+# 2**14 to 2**16 time alike; 2**13 prunes finer but makes more calls, and it
+# and 2**17 are slower
 _BLOCK_CELLS = 1 << 15
 
 
@@ -214,6 +219,24 @@ def _lattice(T: float, step: float) -> np.ndarray:
         raise ValueError(f"step must be positive, got {step}")
     n = max(1, int(round(T / step)))
     return np.linspace(0.0, T, n + 1)
+
+
+# the kernels add at most six non-negative terms in about a dozen roundings, so
+# their costs, and the bounds, lie within a relative 2e-15 of the exact values
+# (in the normal float range): a bound shrunk by 1e-12 stays below the costs
+_BOUND_SHRINK = 1.0 - 1e-12
+
+
+def _filled_minima(blocks, bounds, fill):
+    """fill(block), a block's first minimum (position, cost), of each block in
+    order but those whose finite bound, shrunk, exceeds the least cost filled
+    before them: they hold neither the first minimum nor a tie of it."""
+    minima, best = [], math.inf
+    for block, bound in zip(blocks, bounds):
+        if not best < bound * _BOUND_SHRINK < math.inf:  # a NaN bound is filled
+            minima.append(fill(block))
+            best = min(best, minima[-1][1])  # stays best at a NaN minimum
+    return minima
 
 
 def _first_min(minima):
@@ -233,17 +256,24 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     followed by a golden-section refinement inside the winning cells.
 
     The lattice costs are evaluated and searched in blocks of
-    ``_BLOCK_CELLS`` points, so memory is the lattice plus one block.
+    ``_BLOCK_CELLS`` points, so memory is the lattice plus one block.  Only
+    blocks that can hold the minimum are filled: as every cost term is >= 0
+    and the posterior variance grows with t1, a quadratic bounds a block's
+    costs from below, and a block whose bound, less a relative 1e-12 for
+    rounding, exceeds the least cost found before it is skipped.
     """
     s, T, v0 = params.sigma2, params.horizon, params.prior_variance
     if not sensor >= 0.0:
         _check_domain(sensor=sensor)
     t = _lattice(T, step)
-    minima = []
-    for k0 in range(0, len(t), _BLOCK_CELLS):
+
+    def fill(k0):
         Jb = _cost_one(s, T, v0, sensor, t[k0 : k0 + _BLOCK_CELLS])
         k = int(np.argmin(Jb))
-        minima.append((k0 + k, Jb[k]))
+        return k0 + k, Jb[k]
+
+    starts = range(0, len(t), _BLOCK_CELLS)
+    minima = _filled_minima(starts, _one_bounds(s, T, v0, sensor, t), fill)
     k, best_J = _first_min(minima)
     best_t = float(t[k])
     lo, hi = float(t[max(0, k - 1)]), float(t[min(len(t) - 1, k + 1)])
@@ -260,6 +290,21 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     return GridOracleResult(
         argmin=(best_t,), min_value=best_J, grid_step=step, refined=refined
     )
+
+
+def _one_bounds(s, T, v0, v1, t):
+    """A lower bound of the one-instant cost on each block of the lattice t:
+    the cost with c = v1 || v0 <= v1 || (v0 + sigma2*t1) for the posterior, a
+    convex quadratic in t1, at its vertex clipped to the block.  The cost at
+    the block's last point bounds it too; as the posterior and its rounding
+    grow with t1, a block with a NaN cost has one there, and its bound is NaN."""
+    n, B = len(t), _BLOCK_CELLS
+    first, last = t[::B], t[np.minimum(np.arange(B - 1, n + B - 1, B), n - 1)]
+    c = _post_variance(v1, v0)
+    x = np.clip(0.5 * T + 0.5 * (c - v0) / s, first, last)  # 2*sigma2 may overflow
+    rest = T - x
+    quadratic = 0.5 * s * (x * x + rest * rest) + v0 * x + c * rest
+    return np.minimum(quadratic, _cost_one(s, T, v0, v1, last)).tolist()
 
 
 def _block_nodes(i0, Jb, above, below, nodes, tol=1e-12):
@@ -326,20 +371,42 @@ def _two_args(params: ModelParams, sensors: Sequence[float]):
     return params.sigma2, params.horizon, params.prior_variance, v1, v2
 
 
-def _triangle_blocks(s, T, v0, v1, v2, t):
-    """(i0, Jb) per row block [i0, i1) of the triangle t1 <= t2 of the
-    lattice t x t, each of about ``_BLOCK_CELLS`` cells: Jb holds the costs
-    of rows i0 to i1 - 1 from column i0 on, the cells below the diagonal set
-    to inf."""
-    m, i0 = len(t), 0
+def _row_blocks(m: int):
+    """The row blocks [i0, i1) of the triangle t1 <= t2 of an m x m lattice,
+    each of about ``_BLOCK_CELLS`` cells."""
+    i0 = 0
     while i0 < m:
         i1 = min(m, i0 + max(1, _BLOCK_CELLS // (m - i0)))
-        rows = t[i0:i1, None]
-        Jb = _cost_two(s, T, v0, v1, v2, rows, t[None, i0:])
-        corner = Jb[:, : i1 - i0]
-        corner[t[None, i0:i1] < rows] = np.inf
-        yield i0, Jb
+        yield i0, i1
         i0 = i1
+
+
+def _triangle_block(s, T, v0, v1, v2, t, i0, i1):
+    """The costs of rows i0 to i1 - 1 of the triangle t1 <= t2 of the lattice
+    t x t, from column i0 on, the cells below the diagonal set to inf."""
+    rows = t[i0:i1, None]
+    Jb = _cost_two(s, T, v0, v1, v2, rows, t[None, i0:])
+    corner = Jb[:, : i1 - i0]
+    corner[t[None, i0:i1] < rows] = np.inf
+    return Jb
+
+
+def _two_bounds(s, T, v0, v1, v2, t, blocks):
+    """A lower bound of the two-instant cost on each row block: the least of
+    its rows' bounds.  A row's is the cost with h = v2 || g1 <= v2 || (g1 +
+    sigma2*d) for the second posterior, where g1 is the first and d = t2 - t1,
+    a convex quadratic in d, at its vertex clipped to [0, T - t1].  Its last
+    cell (t1, T) bounds the row too; as the second posterior and its rounding
+    grow with t2, a row with a NaN cost has one there, and its bound is NaN (as
+    it is where g1 is not finite)."""
+    g1 = _post_variance(v1, v0 + s * t)
+    h = _post_variance(v2, g1.copy())
+    L = T - t
+    d = np.clip(0.5 * L + 0.5 * (h - g1) / s, 0.0, L)  # 2*sigma2 may overflow
+    e = L - d
+    quadratic = 0.5 * s * (t * t + d * d + e * e) + v0 * t + g1 * d + h * e
+    rows = np.minimum(quadratic, _cost_two(s, T, v0, v1, v2, t, T))
+    return np.minimum.reduceat(rows, [i0 for i0, _ in blocks]).tolist()
 
 
 def _block_min(i0, Jb):
@@ -359,11 +426,18 @@ def grid_oracle_2(
     exactly.  The triangle of the m x m lattice is filled in row blocks of
     about ``_BLOCK_CELLS`` cells, and each block is dropped once its minimum
     is taken.  So memory is a few blocks, whatever m is, and no m x m cost
-    matrix exists.
+    matrix exists.  Only blocks that can hold the minimum are filled: as
+    every cost term is >= 0 and the second posterior variance grows with t2,
+    a quadratic bounds a row's costs from below, and a block whose least row
+    bound, less a relative 1e-12 for rounding, exceeds the least cost found
+    before it is skipped.
     """
     s, T, v0, v1, v2 = _two_args(params, sensors)
     t = _lattice(T, step)
-    minima = [_block_min(i0, Jb) for i0, Jb in _triangle_blocks(s, T, v0, v1, v2, t)]
+    blocks = list(_row_blocks(len(t)))
+    minima = _filled_minima(
+        blocks, _two_bounds(s, T, v0, v1, v2, t, blocks),
+        lambda b: _block_min(b[0], _triangle_block(s, T, v0, v1, v2, t, *b)))
     (i, j), best_J = _first_min(minima)
     best = (float(t[i]), float(t[j]))
 
@@ -408,8 +482,8 @@ def lattice_cwlms(
     1e-12.  Such points that touch (8-connectivity) are one minimum at grid
     resolution and are reported once, by their best node, in (t1, t2) order.
 
-    The triangle is filled in the row blocks of :func:`grid_oracle_2`; a
-    block's scan waits for the next block's first row, its lower rim, so the
+    The triangle is filled in the row blocks of :func:`grid_oracle_2`, every
+    one of them; a block's scan waits for the next block's first row, its lower rim, so the
     fill keeps about two blocks.  The minima found are kept, though: on a
     flat cost every lattice point is one, and memory and time grow as m^2.
     """
@@ -418,7 +492,8 @@ def lattice_cwlms(
     minima = []
     nodes: dict[tuple[int, int], float] = {}
     held = above = None
-    for i0, Jb in _triangle_blocks(s, T, v0, v1, v2, t):
+    for i0, i1 in _row_blocks(len(t)):
+        Jb = _triangle_block(s, T, v0, v1, v2, t, i0, i1)
         minima.append(_block_min(i0, Jb))
         if held is not None:
             above = _block_nodes(*held, above, Jb[0], nodes)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _golden
 from _props import deadline, finite_diff
@@ -505,3 +507,151 @@ def test_grid_oracle_input_validation():
     # inf is a sensor that carries no information, as in the golden records
     assert grid_oracle_2(params, (math.inf, 1.0), step=1e-2).min_value > 0
     assert grid_oracle_1(params, math.inf, step=1e-2).min_value > 0
+
+
+
+
+def _fill_every_block(blocks, bounds, fill):
+    """numerics._filled_minima without its skips: every block's first minimum."""
+    return [fill(block) for block in blocks]
+
+
+class _LatticeMin(Exception):
+    """Carries an oracle's lattice minimum out before its refinement, which
+    depends on nothing else."""
+
+
+def _stop_at_lattice_min(minima, first_min=numerics._first_min):
+    raise _LatticeMin(first_min(minima))
+
+
+def _lattice_outcome(oracle, *args):
+    """An oracle's lattice minimum (position and cost bits), or its error."""
+    try:
+        oracle(*args)
+    except _LatticeMin as stop:
+        position, cost = stop.args[0]
+        return position, cost.hex()
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+def _oracle_draws(n, seed):
+    """Seeded oracle inputs (params, sensors, one-instant step, two-instant
+    step): time and variance scales of 10^U(-3, 3), v0 = 0 in a quarter of
+    them, zero and inf sensors, and steps of 2e-3, 4e-3 and 1e-5 horizons
+    (2e-3 and 4e-3 for two instants).  Every fifth draw has sigma2 =
+    10^U(296, 308), T = 10^U(-1, 6) and variances up to sigma2*T, and about
+    half of those overflow."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        t_scale, v_scale = 10.0 ** rng.uniform(-3, 3, 2)
+        sigma2 = v_scale / t_scale
+        if k % 5 == 0:
+            sigma2, t_scale = 10.0 ** rng.uniform(296, 308), 10.0 ** rng.uniform(-1, 6)
+            v_scale = min(sigma2 * t_scale * 10.0 ** rng.uniform(-3, 0), 5e307)
+        T = t_scale * rng.uniform(0.2, 4.0)
+        v0 = 0.0 if k % 4 == 0 else v_scale * rng.uniform(0.0, 2.0)
+        sensors = [0.0 if u < 0.1 else math.inf if u < 0.2 else v_scale * rng.uniform(0.0, 3.0)
+                   for u in rng.uniform(size=2)]
+        yield ModelParams(sigma2, T, v0), sensors, T * (2e-3, 4e-3, 1e-5)[k % 3], T * (2e-3, 4e-3)[k % 2]
+
+
+def _lattice_outcomes(params, sensors, one_step, two_step, block_cells):
+    if block_cells == 1:  # a block per lattice point or row: 50 steps per horizon
+        one_step = two_step = 2e-2 * params.horizon
+    return (_lattice_outcome(grid_oracle_1, params, sensors[0], one_step),
+            _lattice_outcome(grid_oracle_2, params, sensors, two_step))
+
+
+@pytest.fixture(scope="module")
+def full_fill_outcomes():
+    """The oracle draws, and their lattice outcomes when every block is filled,
+    at the draws' steps (997) and at 50 steps per horizon (1)."""
+    draws = list(_oracle_draws(300, seed=27))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numerics, "_first_min", _stop_at_lattice_min)
+        m.setattr(numerics, "_filled_minima", _fill_every_block)
+        outcomes = {cells: [_lattice_outcomes(*draw, cells) for draw in draws]
+                    for cells in (1, 997)}
+    return draws, outcomes
+
+
+@pytest.mark.parametrize("block_cells", [1, 997])
+def test_pruned_oracles_equal_the_full_fill(monkeypatch, full_fill_outcomes, block_cells):
+    """Both oracles, which skip the blocks their bounds rule out, find the
+    lattice minimum (its position and bits) or the error of a fill of every
+    block, on 300 seeded draws each."""
+    draws, outcomes = full_fill_outcomes
+    full = outcomes[block_cells]
+    assert sum(two[0] == "ValueError" for _, two in full) >= 30  # overflow is covered
+    monkeypatch.setattr(numerics, "_first_min", _stop_at_lattice_min)
+    monkeypatch.setattr(numerics, "_BLOCK_CELLS", block_cells)
+    for draw, expected in zip(draws, full):
+        assert _lattice_outcomes(*draw, block_cells) == expected, draw
+
+
+_sensor = st.one_of(st.just(0.0), st.just(math.inf), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigma2=st.one_of(st.floats(1e-3, 1e3), st.floats(1e296, 1e308)),
+       T=st.floats(1e-2, 1e2), v0=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       v1=_sensor, v2=_sensor, m=st.integers(2, 60), block_cells=st.integers(1, 9))
+# 2*sigma2 overflows, and the bounds' vertices lie well inside the horizon
+@example(sigma2=1e308, T=1.0, v0=1e307, v1=1.0, v2=1.0, m=60, block_cells=3)
+# sigma2*t overflows past t = 1.8: the costs there are NaN, the quadratics not
+@example(sigma2=1e308, T=1.9, v0=1.0, v1=1.0, v2=1.0, m=60, block_cells=3)
+def test_lattice_costs_are_at_least_their_bounds(sigma2, T, v0, v1, v2, m, block_cells):
+    """Every cost of a two-instant lattice row is at least the row's bound, and
+    every cost of a one-instant block its block's, both shrunk for rounding; a
+    row or block with a NaN cost (overflow) has a bound that is not finite,
+    so it is always filled."""
+    t = numerics._lattice(T, T / (m - 1))
+    shrink = numerics._BOUND_SHRINK
+    with np.errstate(all="ignore"):
+        rows = np.array(numerics._two_bounds(sigma2, T, v0, v1, v2, t,
+                                             [(i, i + 1) for i in range(m)]))
+        J = kalman._cost_two(sigma2, T, v0, v1, v2, t[:, None], t[None, :])
+        J[np.tril_indices(m, -1)] = np.inf  # below the triangle t1 <= t2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_BLOCK_CELLS", block_cells)
+            blocks = np.array(numerics._one_bounds(sigma2, T, v0, v1, t))
+        line = kalman._cost_one(sigma2, T, v0, v1, t)
+    per_block = np.repeat(blocks, block_cells)[:m]
+    for costs, bounds in [(J, rows[:, None]), (line[:, None], per_block[:, None])]:
+        assert (np.isnan(costs) | (costs >= bounds * shrink) | ~np.isfinite(bounds)).all()
+        assert not (np.isnan(costs).any(axis=1) & np.isfinite(bounds[:, 0])).any()
+
+
+def _array_calls(monkeypatch, kernel):
+    """The shapes of the t1 arrays that numerics passes to a cost kernel."""
+    shapes = []
+    wrapped = getattr(numerics, kernel)
+    t1 = {"_cost_one": 4, "_cost_two": 5}[kernel]
+
+    def recorded(*args):
+        if isinstance(args[t1], np.ndarray):
+            shapes.append(args[t1].shape)
+        return wrapped(*args)
+
+    monkeypatch.setattr(numerics, kernel, recorded)
+    return shapes
+
+
+def test_oracles_fill_only_the_blocks_their_bounds_admit(monkeypatch):
+    """The two-instant oracle fills 48 of its 65 row blocks here, and
+    lattice_cwlms all 65; the one-instant oracle 6 of its 10 blocks, after
+    one call of its bounds on the blocks' last points.  A change that fills
+    every block again, or prunes differently, changes these counts."""
+    params = ModelParams(1.3, 4.0, 1.0)
+    two = _array_calls(monkeypatch, "_cost_two")
+    grid_oracle_2(params, (1.0, 2.0), 2e-3)
+    assert sum(len(shape) == 2 for shape in two) == 48
+    assert len(list(numerics._row_blocks(2001))) == 65
+    two.clear()
+    lattice_cwlms(params, (1.0, 2.0), 2e-3)
+    assert sum(len(shape) == 2 for shape in two) == 65
+    one = _array_calls(monkeypatch, "_cost_one")
+    grid_oracle_1(ModelParams(1.3, 3.0, 1.0), 1.0, 1e-5)
+    assert one == [(10,)] + [(numerics._BLOCK_CELLS,)] * 6

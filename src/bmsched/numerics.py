@@ -482,10 +482,10 @@ def lattice_cwlms(
     1e-12.  Such points that touch (8-connectivity) are one minimum at grid
     resolution and are reported once, by their best node, in (t1, t2) order.
 
-    The triangle is filled in the row blocks of :func:`grid_oracle_2`, every
-    one of them; a block's scan waits for the next block's first row, its lower rim, so the
-    fill keeps about two blocks.  The minima found are kept, though: on a
-    flat cost every lattice point is one, and memory and time grow as m^2.
+    Every row block of :func:`grid_oracle_2` is filled; a block's scan waits
+    for the next block's first row, its lower rim, so the fill keeps about
+    two blocks.  The minima found are kept, though: on a flat cost every
+    lattice point is one, and memory and time grow as m^2.
     """
     s, T, v0, v1, v2 = _two_args(params, sensors)
     t = _lattice(T, step)

@@ -509,8 +509,6 @@ def test_grid_oracle_input_validation():
     assert grid_oracle_1(params, math.inf, step=1e-2).min_value > 0
 
 
-
-
 def _fill_every_block(blocks, bounds, fill):
     """numerics._filled_minima without its skips: every block's first minimum."""
     return [fill(block) for block in blocks]
@@ -554,7 +552,8 @@ def _oracle_draws(n, seed):
         v0 = 0.0 if k % 4 == 0 else v_scale * rng.uniform(0.0, 2.0)
         sensors = [0.0 if u < 0.1 else math.inf if u < 0.2 else v_scale * rng.uniform(0.0, 3.0)
                    for u in rng.uniform(size=2)]
-        yield ModelParams(sigma2, T, v0), sensors, T * (2e-3, 4e-3, 1e-5)[k % 3], T * (2e-3, 4e-3)[k % 2]
+        steps = T * (2e-3, 4e-3, 1e-5)[k % 3], T * (2e-3, 4e-3)[k % 2]
+        yield ModelParams(sigma2, T, v0), sensors, *steps
 
 
 def _lattice_outcomes(params, sensors, one_step, two_step, block_cells):

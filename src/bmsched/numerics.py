@@ -8,16 +8,15 @@ the one-instant oracle keeps each block's minimum, and the two-instant oracle
 fills only the triangle t1 <= t2 of its m x m lattice, in row blocks, keeping
 each block's minimum.  So their memory is a few blocks (the lattice itself is
 one array of m points), whatever m is.  :func:`lattice_cwlms` runs the same
-two-instant fill on every block and also collects its coordinatewise minima.
-The lattice costs come from the kernels of ``kalman``; an overflowing one
-raises ValueError.
+two-instant fill and also collects its coordinatewise minima.  The lattice costs
+come from the kernels of ``kalman``; an overflowing one raises ValueError.
 
-Both oracles fill only the blocks that can hold the minimum.  Every term of
-a cost is >= 0 and each posterior variance grows with the instants before it,
-so a quadratic bounds the costs of each lattice row (two instants) or block
-(one instant) from below; a block whose bound, shrunk by a relative 1e-12 for
-the kernels' rounding, exceeds the least cost found before it is skipped.  So
-the answer is a full fill's, bit for bit, overflow errors included.
+The oracles fill only the blocks that can hold the minimum.  Every cost term is
+>= 0 and each posterior variance grows with the instants before it, so a convex
+quadratic bounds each lattice row's (two instants) or block's (one instant)
+costs from below; a block whose bound, less a relative 1e-12 for rounding,
+exceeds the least cost filled before it is skipped.  That margin needs normal
+floats, so every block is filled where an input could leave them (`_in_range`).
 """
 
 from __future__ import annotations
@@ -221,21 +220,25 @@ def _lattice(T: float, step: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
-# the kernels add at most six non-negative terms in about a dozen roundings, so
-# their costs, and the bounds, lie within a relative 2e-15 of the exact values
-# (in the normal float range): a bound shrunk by 1e-12 stays below the costs
+# the kernels sum at most six non-negative terms in about a dozen roundings: in
+# the normal floats, costs and bounds lie within a relative 2e-15 of exact
 _BOUND_SHRINK = 1.0 - 1e-12
 
 
+def _in_range(*values) -> bool:
+    """Whether each value that is not 0 or inf lies in [2**-300, 2**300], so
+    that no product of three, the most a kernel or bound forms, is subnormal."""
+    return all(2.0**-300 <= v <= 2.0**300 for v in values if 0.0 < v < math.inf)
+
+
 def _filled_minima(blocks, bounds, fill):
-    """fill(block), a block's first minimum (position, cost), of each block in
-    order but those whose finite bound, shrunk, exceeds the least cost filled
-    before them: they hold neither the first minimum nor a tie of it."""
+    """fill(block), a block's first minimum (position, cost), of each block but
+    those whose shrunk bound exceeds the least cost filled before them."""
     minima, best = [], math.inf
     for block, bound in zip(blocks, bounds):
-        if not best < bound * _BOUND_SHRINK < math.inf:  # a NaN bound is filled
+        if not best < bound * _BOUND_SHRINK:
             minima.append(fill(block))
-            best = min(best, minima[-1][1])  # stays best at a NaN minimum
+            best = min(best, minima[-1][1])
     return minima
 
 
@@ -256,17 +259,13 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     followed by a golden-section refinement inside the winning cells.
 
     The lattice costs are evaluated and searched in blocks of
-    ``_BLOCK_CELLS`` points, so memory is the lattice plus one block.  Only
-    blocks that can hold the minimum are filled: as every cost term is >= 0
-    and the posterior variance grows with t1, a quadratic bounds a block's
-    costs from below, and a block whose bound, less a relative 1e-12 for
-    rounding, exceeds the least cost found before it is skipped.
+    ``_BLOCK_CELLS`` points, so memory is the lattice plus one block; only
+    the blocks whose lower bound admits the minimum are filled.
     """
     s, T, v0 = params.sigma2, params.horizon, params.prior_variance
     if not sensor >= 0.0:
         _check_domain(sensor=sensor)
     t = _lattice(T, step)
-
     def fill(k0):
         Jb = _cost_one(s, T, v0, sensor, t[k0 : k0 + _BLOCK_CELLS])
         k = int(np.argmin(Jb))
@@ -293,18 +292,16 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
 
 
 def _one_bounds(s, T, v0, v1, t):
-    """A lower bound of the one-instant cost on each block of the lattice t:
-    the cost with c = v1 || v0 <= v1 || (v0 + sigma2*t1) for the posterior, a
-    convex quadratic in t1, at its vertex clipped to the block.  The cost at
-    the block's last point bounds it too; as the posterior and its rounding
-    grow with t1, a block with a NaN cost has one there, and its bound is NaN."""
+    """The least on each block of t of sigma2*(x**2 + (T - x)**2)/2 + v0*x +
+    (v1 || v0)*(T - x), at its vertex clipped to the block (-inf outside _in_range)."""
     n, B = len(t), _BLOCK_CELLS
+    if not _in_range(s, T, t[1], v0, v1):
+        return [-math.inf] * -(-n // B)
     first, last = t[::B], t[np.minimum(np.arange(B - 1, n + B - 1, B), n - 1)]
-    c = _post_variance(v1, v0)
-    x = np.clip(0.5 * T + 0.5 * (c - v0) / s, first, last)  # 2*sigma2 may overflow
+    half, c = 0.5 * s, _post_variance(v1, v0)
+    x = np.clip(0.5 * T + 0.5 * (c - v0) / s, first, last)
     rest = T - x
-    quadratic = 0.5 * s * (x * x + rest * rest) + v0 * x + c * rest
-    return np.minimum(quadratic, _cost_one(s, T, v0, v1, last)).tolist()
+    return ((half * x) * x + v0 * x + (half * rest) * rest + c * rest).tolist()
 
 
 def _block_nodes(i0, Jb, above, below, nodes, tol=1e-12):
@@ -392,20 +389,17 @@ def _triangle_block(s, T, v0, v1, v2, t, i0, i1):
 
 
 def _two_bounds(s, T, v0, v1, v2, t, blocks):
-    """A lower bound of the two-instant cost on each row block: the least of
-    its rows' bounds.  A row's is the cost with h = v2 || g1 <= v2 || (g1 +
-    sigma2*d) for the second posterior, where g1 is the first and d = t2 - t1,
-    a convex quadratic in d, at its vertex clipped to [0, T - t1].  Its last
-    cell (t1, T) bounds the row too; as the second posterior and its rounding
-    grow with t2, a row with a NaN cost has one there, and its bound is NaN (as
-    it is where g1 is not finite)."""
-    g1 = _post_variance(v1, v0 + s * t)
+    """The least row bound of each row block (-inf outside _in_range): row t1's
+    is the least over d in [0, L = T - t1] of sigma2*(t1**2 + d**2 + (L - d)**2)/2
+    + v0*t1 + g1*d + (v2 || g1)*(L - d), g1 = v1 || (v0 + sigma2*t1)."""
+    if not _in_range(s, T, t[1], v0, v1, v2):
+        return [-math.inf] * len(blocks)
+    half, g1 = 0.5 * s, _post_variance(v1, v0 + s * t)
     h = _post_variance(v2, g1.copy())
     L = T - t
-    d = np.clip(0.5 * L + 0.5 * (h - g1) / s, 0.0, L)  # 2*sigma2 may overflow
+    d = np.clip(0.5 * L + 0.5 * (h - g1) / s, 0.0, L)
     e = L - d
-    quadratic = 0.5 * s * (t * t + d * d + e * e) + v0 * t + g1 * d + h * e
-    rows = np.minimum(quadratic, _cost_two(s, T, v0, v1, v2, t, T))
+    rows = (half * t) * t + v0 * t + (half * d) * d + g1 * d + (half * e) * e + h * e
     return np.minimum.reduceat(rows, [i0 for i0, _ in blocks]).tolist()
 
 
@@ -426,11 +420,8 @@ def grid_oracle_2(
     exactly.  The triangle of the m x m lattice is filled in row blocks of
     about ``_BLOCK_CELLS`` cells, and each block is dropped once its minimum
     is taken.  So memory is a few blocks, whatever m is, and no m x m cost
-    matrix exists.  Only blocks that can hold the minimum are filled: as
-    every cost term is >= 0 and the second posterior variance grows with t2,
-    a quadratic bounds a row's costs from below, and a block whose least row
-    bound, less a relative 1e-12 for rounding, exceeds the least cost found
-    before it is skipped.
+    matrix exists.  Only the blocks whose lower bound admits the minimum are
+    filled.
     """
     s, T, v0, v1, v2 = _two_args(params, sensors)
     t = _lattice(T, step)

@@ -540,13 +540,24 @@ def _oracle_draws(n, seed):
     them, zero and inf sensors, and steps of 2e-3, 4e-3 and 1e-5 horizons
     (2e-3 and 4e-3 for two instants).  Every fifth draw has sigma2 =
     10^U(296, 308), T = 10^U(-1, 6) and variances up to sigma2*T, and about
-    half of those overflow."""
+    half of those overflow.  Of the others, every tenth has T = 10^U(153,
+    154.5), where T**2 overflows, and sigma2 = 10^U(-12, -8), and every tenth
+    a subnormal sigma2 = 10^U(-323.5, -300) and T = 10^U(0, 12).  Three fixed
+    draws of those kinds come first."""
+    # T**2 overflows where the costs do not
+    yield ModelParams(1e-10, 2.5e154, 0.0), [1e146, 1e146], 2.5e149, 5e151
+    yield ModelParams(3.2e-9, 2.4e154, 0.0), [1.1e144, 1.9e143], 2.4e149, 4.8e151
+    # subnormal costs, whose rounding a relative margin does not cover
+    yield ModelParams(1e-321, 1e4, 0.0), [0.0, 0.0], 1e4 / 65536, 20.0
     rng = np.random.default_rng(seed)
+    special = {0: ((296, 308), (-1, 6)), 1: ((-12, -8), (153, 154.5)),
+               3: ((-323.5, -300), (0, 12))}
     for k in range(n):
         t_scale, v_scale = 10.0 ** rng.uniform(-3, 3, 2)
         sigma2 = v_scale / t_scale
-        if k % 5 == 0:
-            sigma2, t_scale = 10.0 ** rng.uniform(296, 308), 10.0 ** rng.uniform(-1, 6)
+        scales = special.get(k % 10 if k % 5 else 0)
+        if scales:
+            sigma2, t_scale = (10.0 ** rng.uniform(*scale) for scale in scales)
             v_scale = min(sigma2 * t_scale * 10.0 ** rng.uniform(-3, 0), 5e307)
         T = t_scale * rng.uniform(0.2, 4.0)
         v0 = 0.0 if k % 4 == 0 else v_scale * rng.uniform(0.0, 2.0)
@@ -566,21 +577,21 @@ def _lattice_outcomes(params, sensors, one_step, two_step, block_cells):
 @pytest.fixture(scope="module")
 def full_fill_outcomes():
     """The oracle draws, and their lattice outcomes when every block is filled,
-    at the draws' steps (997) and at 50 steps per horizon (1)."""
+    at the draws' steps (997 and 2**15 cells) and at 50 steps per horizon (1)."""
     draws = list(_oracle_draws(300, seed=27))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(numerics, "_first_min", _stop_at_lattice_min)
         m.setattr(numerics, "_filled_minima", _fill_every_block)
         outcomes = {cells: [_lattice_outcomes(*draw, cells) for draw in draws]
-                    for cells in (1, 997)}
+                    for cells in (1, 997, 1 << 15)}
     return draws, outcomes
 
 
-@pytest.mark.parametrize("block_cells", [1, 997])
+@pytest.mark.parametrize("block_cells", [1, 997, 1 << 15])
 def test_pruned_oracles_equal_the_full_fill(monkeypatch, full_fill_outcomes, block_cells):
     """Both oracles, which skip the blocks their bounds rule out, find the
     lattice minimum (its position and bits) or the error of a fill of every
-    block, on 300 seeded draws each."""
+    block, on 300 seeded draws and three fixed ones each."""
     draws, outcomes = full_fill_outcomes
     full = outcomes[block_cells]
     assert sum(two[0] == "ValueError" for _, two in full) >= 30  # overflow is covered
@@ -590,37 +601,51 @@ def test_pruned_oracles_equal_the_full_fill(monkeypatch, full_fill_outcomes, blo
         assert _lattice_outcomes(*draw, block_cells) == expected, draw
 
 
-_sensor = st.one_of(st.just(0.0), st.just(math.inf), st.floats(1e-3, 1e3))
+def _scaled(*decades):
+    """Floats of 10^U(lo, hi) for each (lo, hi)."""
+    return st.one_of(*(st.floats(lo, hi).map(lambda x: 10.0**x) for lo, hi in decades))
 
 
-@settings(max_examples=200, deadline=None)
-@given(sigma2=st.one_of(st.floats(1e-3, 1e3), st.floats(1e296, 1e308)),
-       T=st.floats(1e-2, 1e2), v0=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
-       v1=_sensor, v2=_sensor, m=st.integers(2, 60), block_cells=st.integers(1, 9))
-# 2*sigma2 overflows, and the bounds' vertices lie well inside the horizon
-@example(sigma2=1e308, T=1.0, v0=1e307, v1=1.0, v2=1.0, m=60, block_cells=3)
-# sigma2*t overflows past t = 1.8: the costs there are NaN, the quadratics not
-@example(sigma2=1e308, T=1.9, v0=1.0, v1=1.0, v2=1.0, m=60, block_cells=3)
+# 2**±300, the ends of numerics._in_range, lie at 10^±90.3
+_variance = st.one_of(st.just(0.0), st.just(math.inf), _scaled((-3, 3), (-95, -85), (85, 95)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma2=_scaled((-3, 3), (-95, -85), (85, 95), (296, 308), (-323.5, -300)),
+       T=_scaled((-2, 2), (-95, -85), (85, 95), (150, 155)),
+       v0=_variance.filter(math.isfinite), v1=_variance, v2=_variance,
+       m=st.integers(2, 60), block_cells=st.integers(1, 9))
+# T**2 overflows where the costs do not
+@example(sigma2=1e-10, T=2.5e154, v0=0.0, v1=1e146, v2=1e146, m=60, block_cells=3)
+# subnormal costs
+@example(sigma2=1e-321, T=1e4, v0=0.0, v1=0.0, v2=0.0, m=60, block_cells=3)
+# the ends of the range
+@example(sigma2=2.0**300, T=2.0**300, v0=2.0**300, v1=2.0**300, v2=2.0**300, m=60, block_cells=3)
+@example(sigma2=2.0**-300, T=2.0**-294, v0=2.0**-300, v1=2.0**-300, v2=2.0**-300, m=60,
+         block_cells=3)
 def test_lattice_costs_are_at_least_their_bounds(sigma2, T, v0, v1, v2, m, block_cells):
     """Every cost of a two-instant lattice row is at least the row's bound, and
-    every cost of a one-instant block its block's, both shrunk for rounding; a
-    row or block with a NaN cost (overflow) has a bound that is not finite,
-    so it is always filled."""
+    every cost of a one-instant block its block's, both shrunk for rounding.
+    The bounds are finite, and the costs normal floats, where the inputs are
+    in numerics._in_range; elsewhere every bound is -inf."""
     t = numerics._lattice(T, T / (m - 1))
-    shrink = numerics._BOUND_SHRINK
     with np.errstate(all="ignore"):
         rows = np.array(numerics._two_bounds(sigma2, T, v0, v1, v2, t,
                                              [(i, i + 1) for i in range(m)]))
         J = kalman._cost_two(sigma2, T, v0, v1, v2, t[:, None], t[None, :])
-        J[np.tril_indices(m, -1)] = np.inf  # below the triangle t1 <= t2
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numerics, "_BLOCK_CELLS", block_cells)
             blocks = np.array(numerics._one_bounds(sigma2, T, v0, v1, t))
         line = kalman._cost_one(sigma2, T, v0, v1, t)
-    per_block = np.repeat(blocks, block_cells)[:m]
-    for costs, bounds in [(J, rows[:, None]), (line[:, None], per_block[:, None])]:
-        assert (np.isnan(costs) | (costs >= bounds * shrink) | ~np.isfinite(bounds)).all()
-        assert not (np.isnan(costs).any(axis=1) & np.isfinite(bounds[:, 0])).any()
+    i, j = np.triu_indices(m)  # the triangle t1 <= t2
+    for costs, bounds, sensors in [(J[i, j], rows[i], (v1, v2)),
+                                   (line, np.repeat(blocks, block_cells)[:m], (v1,))]:
+        if numerics._in_range(sigma2, T, t[1], v0, *sensors):
+            assert np.isfinite(bounds).all() and np.isfinite(costs).all()
+            assert (costs >= np.finfo(float).tiny).all()
+            assert (costs >= bounds * numerics._BOUND_SHRINK).all()
+        else:
+            assert (bounds == -math.inf).all()
 
 
 def _array_calls(monkeypatch, kernel):
@@ -640,9 +665,8 @@ def _array_calls(monkeypatch, kernel):
 
 def test_oracles_fill_only_the_blocks_their_bounds_admit(monkeypatch):
     """The two-instant oracle fills 48 of its 65 row blocks here, and
-    lattice_cwlms all 65; the one-instant oracle 6 of its 10 blocks, after
-    one call of its bounds on the blocks' last points.  A change that fills
-    every block again, or prunes differently, changes these counts."""
+    lattice_cwlms all 65; the one-instant oracle 6 of its 10 blocks.  A
+    change that fills every block again, or prunes differently, changes these counts."""
     params = ModelParams(1.3, 4.0, 1.0)
     two = _array_calls(monkeypatch, "_cost_two")
     grid_oracle_2(params, (1.0, 2.0), 2e-3)
@@ -653,4 +677,4 @@ def test_oracles_fill_only_the_blocks_their_bounds_admit(monkeypatch):
     assert sum(len(shape) == 2 for shape in two) == 65
     one = _array_calls(monkeypatch, "_cost_one")
     grid_oracle_1(ModelParams(1.3, 3.0, 1.0), 1.0, 1e-5)
-    assert one == [(10,)] + [(numerics._BLOCK_CELLS,)] * 6
+    assert one == [(numerics._BLOCK_CELLS,)] * 6

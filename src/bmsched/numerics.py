@@ -11,12 +11,11 @@ one array of m points), whatever m is.  :func:`lattice_cwlms` runs the same
 two-instant fill and also collects its coordinatewise minima.  The lattice costs
 come from the kernels of ``kalman``; an overflowing one raises ValueError.
 
-The oracles fill only the blocks that can hold the minimum.  Every cost term is
->= 0 and each posterior variance grows with the instants before it, so a convex
-quadratic bounds each lattice row's (two instants) or block's (one instant)
-costs from below; a block whose bound, less a relative 1e-12 for rounding,
-exceeds the least cost filled before it is skipped.  That margin needs normal
-floats, so every block is filled where an input could leave them (`_in_range`).
+The oracles skip each block whose lower bound, less a relative 1e-12 for
+rounding, exceeds the least cost filled before it: every cost term is >= 0 and
+each posterior variance grows with the instants before it, so a convex quadratic
+bounds each lattice row's (two instants) or block's (one instant) costs from
+below.  Where an input could leave the normal floats every block is filled.
 """
 
 from __future__ import annotations
@@ -220,14 +219,13 @@ def _lattice(T: float, step: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
-# the kernels sum at most six non-negative terms in about a dozen roundings: in
-# the normal floats, costs and bounds lie within a relative 2e-15 of exact
+# the kernels sum at most six non-negative terms in about a dozen roundings, so
+# costs and bounds lie within a relative 2e-15 of exact where no product of three
+# values is subnormal or overflows: where _in_range holds for every value
 _BOUND_SHRINK = 1.0 - 1e-12
 
 
 def _in_range(*values) -> bool:
-    """Whether each value that is not 0 or inf lies in [2**-300, 2**300], so
-    that no product of three, the most a kernel or bound forms, is subnormal."""
     return all(2.0**-300 <= v <= 2.0**300 for v in values if 0.0 < v < math.inf)
 
 
@@ -266,14 +264,10 @@ def grid_oracle_1(params: ModelParams, sensor: float, step: float) -> GridOracle
     if not sensor >= 0.0:
         _check_domain(sensor=sensor)
     t = _lattice(T, step)
-    def fill(k0):
-        Jb = _cost_one(s, T, v0, sensor, t[k0 : k0 + _BLOCK_CELLS])
-        k = int(np.argmin(Jb))
-        return k0 + k, Jb[k]
-
-    starts = range(0, len(t), _BLOCK_CELLS)
-    minima = _filled_minima(starts, _one_bounds(s, T, v0, sensor, t), fill)
-    k, best_J = _first_min(minima)
+    minima = _filled_minima(
+        range(0, len(t), _BLOCK_CELLS), _one_bounds(s, T, v0, sensor, t),
+        lambda k0: _block_min(k0, _cost_one(s, T, v0, sensor, t[k0 : k0 + _BLOCK_CELLS])))
+    (k,), best_J = _first_min(minima)
     best_t = float(t[k])
     lo, hi = float(t[max(0, k - 1)]), float(t[min(len(t) - 1, k + 1)])
     refined = False
@@ -404,9 +398,10 @@ def _two_bounds(s, T, v0, v1, v2, t, blocks):
 
 
 def _block_min(i0, Jb):
-    """The lattice cell and cost of row block Jb's first minimum."""
-    a, b = divmod(int(np.argmin(Jb)), Jb.shape[1])
-    return (a + i0, b + i0), Jb[a, b]
+    """The lattice position and cost of the first minimum of block Jb: of a
+    one-instant block from point i0, or a row block from row and column i0."""
+    k = np.unravel_index(int(np.argmin(Jb)), Jb.shape)
+    return tuple(int(i) + i0 for i in k), Jb[k]
 
 
 @np.errstate(all="ignore")  # _first_min rejects overflow; cells below t1 <= t2 are masked

@@ -1,15 +1,16 @@
 """Command-line interface.
 
 Subcommands: ``optimize1``, ``optimize2``, ``profile``, ``bounds``,
-``windows``, ``sweep`` and ``oracle-check``.  Output is JSON (or CSV for
-sweeps) with numbers rendered to 12 significant digits, so identical
-invocations produce byte-identical documents.
+``windows``, ``sweep`` and ``oracle-check``.  Output is JSON (or CSV, with
+``sweep --format csv``) with numbers rendered to 12 significant digits, so
+identical invocations produce byte-identical documents.
 
-Exit codes: 0 success, 2 argument error, 3 domain error, 4 oracle discrepancy
-beyond tolerance, 5 solver failure (the coordinate descent that ``optimize2``
-runs with ``--trace``, ``--tol`` or ``--max-iters`` did not converge, or it and
-the reduced regime-3 root it is checked against disagree, or that root, the
-default path, used up its evaluation budget).
+Exit codes: 0 success, 2 argument error, 3 domain error (also a result that
+overflows the float range), 4 oracle discrepancy beyond tolerance, 5 solver
+failure (the coordinate descent that ``optimize2`` runs with ``--trace``,
+``--tol`` or ``--max-iters`` did not converge, or it and the reduced regime-3
+root it is checked against disagree, or that root, the default path, used up
+its evaluation budget).
 """
 
 from __future__ import annotations
@@ -93,10 +94,10 @@ def render_json(obj: Any, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+    if isinstance(obj, float):
+        return _fmt(obj)
     return json.dumps(obj)
 
 
@@ -119,12 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--output", default=None, help="write the document to a file")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default="json",
-            help="output format (csv applies to sweeps)",
-        )
 
     p1 = sub.add_parser("optimize1", help="optimal instant of one measurement")
     p1.add_argument("--sigma2", type=parse_real, required=True)
@@ -181,6 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="run an experiment sweep from a spec file")
     ps.add_argument("--spec", required=True, help="path to a JSON sweep spec")
+    ps.add_argument("--format", choices=("json", "csv"), default="json",
+                    help="output format")
     add_common(ps)
 
     po = sub.add_parser("oracle-check", help="closed forms against the grid oracle")
@@ -285,21 +282,28 @@ def _load_sweep_spec(path: str) -> experiments.SweepSpec:
         raw = json.load(fh)
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ValueError(f"sweep spec {path} must be a JSON object with a 'kind' key")
-    swept = {
-        name: (float(lo), float(hi), int(count))
-        for name, (lo, hi, count) in raw.get("swept", {}).items()
-    }
-    fixed = {name: float(v) for name, v in raw.get("fixed", {}).items()}
-    return experiments.SweepSpec(
-        kind=raw["kind"], fixed=fixed, swept=swept, seed=int(raw.get("seed", 0))
-    )
+    # one pass; ``section`` and ``name`` locate the entry being converted
+    section, name, swept, fixed = "swept", None, {}, {}
+    try:
+        for name, entry in raw.get("swept", {}).items():
+            lo, hi, count = entry
+            swept[name] = (float(lo), float(hi), int(count))
+        section, name = "fixed", None
+        for name, value in raw.get("fixed", {}).items():
+            fixed[name] = float(value)
+        section, name = "seed", None
+        seed = int(raw.get("seed", 0))
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        key = section if name is None else f"{section}.{name}"
+        raise ValueError(f"sweep spec {path}: bad {key!r}: {exc}") from None
+    return experiments.SweepSpec(kind=raw["kind"], fixed=fixed, swept=swept, seed=seed)
 
 
-def _sweep_docs(args) -> tuple[str, str]:
+def _sweep_docs(args) -> str:
     spec = _load_sweep_spec(args.spec)
     result = experiments.run_sweep(spec)
     if args.format == "csv":
-        return render_csv(result.columns, result.rows), "csv"
+        return render_csv(result.columns, result.rows)
     doc = {
         "kind": result.kind,
         "seed": spec.seed,
@@ -307,7 +311,7 @@ def _sweep_docs(args) -> tuple[str, str]:
         "rows": [list(row) for row in result.rows],
         "summary": result.summary,
     }
-    return render_json(doc) + "\n", "json"
+    return render_json(doc) + "\n"
 
 
 def _oracle_check_doc(args) -> tuple[dict, int]:
@@ -386,12 +390,16 @@ def run(argv: list[str]) -> int:
         elif args.command == "windows":
             text = render_json(_windows_doc(args)) + "\n"
         elif args.command == "sweep":
-            text, _ = _sweep_docs(args)
+            text = _sweep_docs(args)
         elif args.command == "oracle-check":
             doc, status = _oracle_check_doc(args)
             text = render_json(doc) + "\n"
         else:  # pragma: no cover
             return EXIT_USAGE
+    except OverflowError:
+        # raised by a float power such as x ** 2 whose result leaves the range
+        sys.stderr.write("error: the result overflows the float range\n")
+        return EXIT_DOMAIN
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SOLVER if isinstance(exc, RuntimeError) else EXIT_DOMAIN

@@ -5,10 +5,10 @@ Re-record, from the repository root, with
     PYTHONPATH=src python3 tests/_golden.py
 
 The grid oracles' records (argmin, minimum, whether refinement moved it, and
-the coordinatewise lattice minima of ``lattice_cwlms``) are kept apart, in
-tests/golden/oracles.json.  Their inputs are a fixed list, not a draw: every
-horizon regime, zero and ``inf`` sensors, v0 = 0, and lattice steps 4e-3 and
-2e-3.
+the coordinatewise lattice minima of ``lattice_cwlms``, from the test helper
+tests/_lattice.py) are kept apart, in tests/golden/oracles.json.  Their inputs
+are a fixed list, not a draw: every horizon regime, zero and ``inf`` sensors,
+v0 = 0, and lattice steps 4e-3 and 2e-3.
 
 The instances are seeded draws over all three two-measure regimes, at time
 and variance scales 10^U(-2, 2) and with zero variances mixed in.  They were
@@ -29,8 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
+from _lattice import lattice_cwlms
 from bmsched.kalman import ModelParams
-from bmsched.numerics import grid_oracle_1, grid_oracle_2, lattice_cwlms
+from bmsched.numerics import grid_oracle_1, grid_oracle_2
 from bmsched.one_measure import optimal_instant_1
 from bmsched.two_measure import (
     cost_pair,

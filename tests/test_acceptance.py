@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _lattice import lattice_cwlms
 from _props import (
     check_one_measure_derivative,
     check_one_measure_shape_properties,
@@ -204,7 +205,7 @@ def test_criterion_05_oracle_equivalence():
             abs(sol.t1_opt - oracle.argmin[0]),
             abs(sol.t2_opt - oracle.argmin[1]),
         )
-        cwlms = numerics.lattice_cwlms(ModelParams(sigma2, T, v0), (v1, v2), step=2e-3)
+        cwlms = lattice_cwlms(ModelParams(sigma2, T, v0), (v1, v2), step=2e-3)
         cwlm_counts.append(len(cwlms))
     elapsed = time.perf_counter() - start
 

@@ -160,6 +160,21 @@ def test_profile_overflowing_cost_is_domain_error(capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # (v1 - sigma2*T) ** 2 in window_v0_crit
+    ["windows", "--sigma2", "1", "--T", "1", "--v1", "1e200", "--v0", "1"],
+    # T**3 in lower_bound
+    ["bounds", "--sigma2", "1", "--T", "1e103", "--v0", "1", "--v1", "1"],
+], ids=["windows", "bounds"])
+def test_overflowing_result_is_domain_error(capsys, argv):
+    """A float power whose result leaves the range raises OverflowError, which
+    exits 3 with one error line, not 1 with a traceback."""
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the result overflows the float range\n"
+
+
 def test_exit_code_solver_failure(capsys):
     status = run(
         ["optimize2", "--sigma2", "1", "--T", "71/18", "--v0", "1", "--v1", "1",
@@ -378,6 +393,44 @@ def test_sweep_bad_spec(tmp_path, capsys):
     capsys.readouterr()
     assert run(["sweep", "--spec", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "gain2", "fixed": {"T": None}}, "fixed.T"),
+    ({"kind": "gain2", "swept": [1, 2]}, "swept"),
+    ({"kind": "gain2", "swept": {"v1": [0, 5, None]}}, "swept.v1"),
+    ({"kind": "gain2", "swept": {"v1": [0, 5]}}, "swept.v1"),
+    ({"kind": "gain2", "seed": "one"}, "seed"),
+], ids=["fixed-null", "swept-list", "count-null", "swept-pair", "seed-text"])
+def test_sweep_malformed_spec_is_domain_error(tmp_path, capsys, spec, key):
+    """A spec entry of the wrong type or shape exits 3 with one error line
+    naming the spec and the entry."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(spec))
+    assert run(["sweep", "--spec", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: sweep spec {p}: bad {key!r}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize1", "--sigma2", "1", "--T", "1", "--v0", "1", "--v1", "1"],
+    ["optimize2", "--sigma2", "1", "--T", "1", "--v0", "1", "--v1", "1", "--v2", "1"],
+    ["profile", "--sigma2", "1", "--T", "1", "--v0", "1", "--sensors", "1",
+     "--instants", "0.5"],
+    ["bounds", "--sigma2", "1", "--T", "1", "--v0", "1", "--v1", "1"],
+    ["windows", "--sigma2", "1", "--T", "1", "--v1", "1", "--v0", "1"],
+    ["oracle-check", "--kind", "one", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_format_is_a_sweep_option_only(tmp_path, capsys, argv):
+    """Only sweep writes CSV, so only sweep takes --format; every command
+    still takes --output."""
+    assert run(argv + ["--format", "json"]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    path = tmp_path / "doc.json"
+    assert run(argv + ["--output", str(path)]) == 0
+    assert isinstance(json.loads(path.read_text()), dict)
 
 
 def test_render_csv_deterministic():

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _golden
+from _lattice import lattice_cwlms
 from _props import check_two_measure_derivative, deadline, draw_two_measure_instance
 from bmsched import kalman, numerics, one_measure, two_measure
 from bmsched.kalman import ModelParams, parallel_sum
@@ -349,7 +350,7 @@ def test_unique_coordinatewise_minimum_on_grid():
         if per_regime[sol.regime] >= 4:
             continue
         per_regime[sol.regime] += 1
-        cwlms = numerics.lattice_cwlms(ModelParams(sigma2, T, v0), (v1, v2), step=4e-3)
+        cwlms = lattice_cwlms(ModelParams(sigma2, T, v0), (v1, v2), step=4e-3)
         assert len(cwlms) == 1
         cwlm = cwlms[0]
         assert abs(cwlm[0] - sol.t1_opt) <= 8e-3
